@@ -36,6 +36,7 @@ from .exceptions import (
     FactorOutOfRange,
     GreedyLsqError,
     MissingEnergyError,
+    NonFiniteValue,
     NotApplicable,
     NullSpaceEmpty,
     ParseError,
@@ -86,6 +87,7 @@ __all__ = [
     "ManifestEntry",
     "Method",
     "MissingEnergyError",
+    "NonFiniteValue",
     "NotApplicable",
     "NullSpaceEmpty",
     "ParseError",

@@ -9,7 +9,8 @@ eigenvalue of the Gram matrix A^T A.  The later steps get the sharper
 1/(n-1) constant because each step leaves the gradient entry of the
 previously chosen column exactly zero.
 
-``verify_trace`` replays a recorded solve against those per-step factors;
+``verify_trace`` replays a recorded solve against those per-step factors
+and their cumulative envelope;
 ``grcd_expected_factor`` gives the corresponding expected-contraction
 factor of the threshold-based randomized method for comparison.
 """
@@ -172,6 +173,8 @@ class BoundReport:
     ``violations`` lists (iteration, measured ratio, bound) for every step
     whose measured energy contraction exceeded the guaranteed factor plus
     slack; an empty list means the theory held throughout.
+    ``cumulative_violations`` counts the iterates whose energy error rose
+    above the cumulative envelope of ``ggs_cumulative_bound``.
     """
 
     lambda_min: float
@@ -182,6 +185,7 @@ class BoundReport:
     cumulative_factor: float | None = None
     grcd_expected: float | None = None
     violations: list[tuple[int, float, float]] = field(default_factory=list)
+    cumulative_violations: int = 0
 
     def to_text(self):
         """Serialize as key: value lines."""
@@ -198,6 +202,7 @@ class BoundReport:
         ]
         for it, meas, bound in self.violations:
             lines.append(f"violation: iteration={it} measured={meas:.12e} bound={bound:.12e}")
+        lines.append(f"cumulative_violations: {self.cumulative_violations}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -264,6 +269,15 @@ def verify_trace(trace, lambda_min, n):
     if step_records and n >= 2 and report.first_step_factor is not None:
         worst = ggs_per_step_factor(lambda_min, n, report.max_set_size, report.max_norm_sum)
         report.cumulative_factor = worst ** (len(step_records) - 1) * report.first_step_factor
+        # Cumulative envelope: the energy error at step k must sit under
+        # worst^(k-1) * first * initial, where worst comes from the maxima
+        # of the candidate-set size and norm sum over the whole run.
+        initial = trace[0].energy_error_sq
+        slack = RATIO_SLACK * max(initial, 1.0)
+        report.cumulative_violations = sum(
+            trace[k].energy_error_sq
+            > ggs_cumulative_bound(report.first_step_factor, worst, k, initial) + slack
+            for k in range(1, len(trace)))
     elif report.first_step_factor is not None:
         report.cumulative_factor = report.first_step_factor
 

@@ -10,7 +10,6 @@ constant across trials while the randomized ones still vary.
 import csv
 import io
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .problems import (
@@ -46,7 +45,7 @@ class TrialRecord:
     trial: int
     method: Method
     iterations: int
-    cpu_seconds: float
+    cpu_seconds: float  # perf_counter wall time of the solve, not CPU time
     stop_reason: StopReason
     final_res: float
 
@@ -82,7 +81,7 @@ def build_trial_problem(entry, base_seed, trial, file_matrix=None):
     return make(A, rhs_seed, label=entry.label)
 
 
-def run_experiment(spec, jobs=1):
+def run_experiment(spec):
     """Run every method of the spec over ``repeats`` trials and average.
 
     Each trial builds one problem instance shared by all methods; the
@@ -93,14 +92,14 @@ def run_experiment(spec, jobs=1):
     """
     entry = spec.problem
     file_matrix = load_matrix_market(entry.path) if entry.kind == "file" else None
+    result = ExperimentResult(label=entry.label, methods=list(spec.methods))
 
-    def run_trial(t):
+    for t in range(spec.repeats):
         problem = build_trial_problem(entry, spec.base_seed, t, file_matrix)
         # Untimed warmup: touches the fresh matrix and spins up the BLAS
         # thread pool so the first timed method is not penalized.
         solve(problem, SolverConfig(method=spec.methods[0], max_iterations=3,
                                     res_tolerance=spec.res_tolerance, seed=spec.base_seed + t))
-        records = []
         for method in spec.methods:
             config = SolverConfig(
                 method=method,
@@ -109,7 +108,7 @@ def run_experiment(spec, jobs=1):
                 seed=spec.base_seed + t,
             )
             report = solve(problem, config)
-            records.append(TrialRecord(
+            result.trials.append(TrialRecord(
                 trial=t,
                 method=method,
                 iterations=report.iterations,
@@ -117,17 +116,6 @@ def run_experiment(spec, jobs=1):
                 stop_reason=report.stop_reason,
                 final_res=report.final_res,
             ))
-        return records
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(run_trial, range(spec.repeats)))
-    else:
-        per_trial = [run_trial(t) for t in range(spec.repeats)]
-
-    result = ExperimentResult(label=entry.label, methods=list(spec.methods))
-    for records in sorted(per_trial, key=lambda recs: recs[0].trial):
-        result.trials.extend(records)
 
     for method in spec.methods:
         ok = [rec for rec in result.trials if rec.method is method and not rec.failed]

@@ -11,13 +11,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    ggs_cumulative_bound,
-    ggs_per_step_factor,
-    grcd_expected_factor,
-    lambda_min_pos,
-    verify_trace,
-)
+from .analysis import grcd_expected_factor, lambda_min_pos, verify_trace
 from .bench import ExperimentSpec, build_trial_problem, emit_convergence_curve, emit_table, run_experiment
 from .exceptions import GreedyLsqError, NotApplicable, RankDeficient
 from .problems import (
@@ -95,7 +89,6 @@ def build_parser():
                    help="comma-separated methods to compare")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("verify-bounds", help="check a greedy run against its convergence theory")
     _add_matrix_args(p)
@@ -196,7 +189,7 @@ def cmd_bench(args, parser):
             max_iterations=args.max_iters,
         )
         try:
-            result = run_experiment(spec, jobs=args.jobs)
+            result = run_experiment(spec)
         except (GreedyLsqError, OSError) as exc:
             print(f"greedylsq: experiment {entry.label!r} failed: {exc}", file=sys.stderr)
             any_failed = True
@@ -251,39 +244,23 @@ def cmd_verify_bounds(args, parser):
         record_trace=True,
     )
     report = solve(problem, config)
-    n = A.shape[1]
-    bounds = verify_trace(report.trace, lam, n)
+    bounds = verify_trace(report.trace, lam, A.shape[1])
     try:
         bounds.grcd_expected = grcd_expected_factor(A, lam)
     except NotApplicable:
         pass
 
-    # Cumulative envelope: the energy error at step k must sit under
-    # worst^(k-1) * first * initial, where worst comes from the maxima of
-    # the candidate-set size and norm sum over the whole run.
-    cumulative_violations = 0
-    steps = [rec for rec in report.trace if rec.chosen_index is not None]
-    if steps and n >= 2:
-        initial = report.trace[0].energy_error_sq
-        worst = ggs_per_step_factor(lam, n, bounds.max_set_size, bounds.max_norm_sum)
-        for k in range(1, len(report.trace)):
-            envelope = ggs_cumulative_bound(bounds.first_step_factor, worst, k, initial)
-            if report.trace[k].energy_error_sq > envelope + 1e-9 * max(initial, 1.0):
-                cumulative_violations += 1
-
-    total_violations = len(bounds.violations) + cumulative_violations
+    total_violations = len(bounds.violations) + bounds.cumulative_violations
     print(f"matrix: {label} ({A.shape[0]}x{A.shape[1]})")
     print(f"iterations: {report.iterations}")
     print(f"lambda_min: {lam:.12e}")
     print(f"first_step_factor: {bounds.first_step_factor:.12e}"
           if bounds.first_step_factor is not None else "first_step_factor:")
     print(f"per_step_violations: {len(bounds.violations)}")
-    print(f"cumulative_violations: {cumulative_violations}")
+    print(f"cumulative_violations: {bounds.cumulative_violations}")
 
     if args.out:
-        text = bounds.to_text()
-        text += f"cumulative_violations: {cumulative_violations}\n"
-        text += "factors:\n"
+        text = bounds.to_text() + "factors:\n"
         if bounds.first_step_factor is not None:
             text += f"  k=0 factor={bounds.first_step_factor:.12e}\n"
         for i, f in enumerate(bounds.per_step_factors, start=1):

@@ -19,6 +19,13 @@ class BaseCoordinateDescent:
 
     _method = None
 
+    def __init__(self, tol=1e-6, max_iter=200_000, tie_tol=1e-12, seed=0, record_trace=False):
+        self.tol = tol
+        self.max_iter = max_iter
+        self.tie_tol = tie_tol
+        self.seed = seed
+        self.record_trace = record_trace
+
     def get_params(self, deep=True):
         names = [p for p in inspect.signature(type(self).__init__).parameters
                  if p != "self"]
@@ -100,35 +107,14 @@ class RandomizedGreedyGaussSeidel(BaseCoordinateDescent):
 
     _method = Method.GGS_RANDOMIZED
 
-    def __init__(self, tol=1e-6, max_iter=200_000, tie_tol=1e-12, seed=0, record_trace=False):
-        self.tol = tol
-        self.max_iter = max_iter
-        self.tie_tol = tie_tol
-        self.seed = seed
-        self.record_trace = record_trace
-
 
 class GreedyRandomizedCoordinateDescent(BaseCoordinateDescent):
     """Threshold-based randomized greedy coordinate descent."""
 
     _method = Method.GRCD
 
-    def __init__(self, tol=1e-6, max_iter=200_000, tie_tol=1e-12, seed=0, record_trace=False):
-        self.tol = tol
-        self.max_iter = max_iter
-        self.tie_tol = tie_tol
-        self.seed = seed
-        self.record_trace = record_trace
-
 
 class RandomizedGaussSeidel(BaseCoordinateDescent):
     """Column sampling proportional to squared column norms."""
 
     _method = Method.RGS
-
-    def __init__(self, tol=1e-6, max_iter=200_000, tie_tol=1e-12, seed=0, record_trace=False):
-        self.tol = tol
-        self.max_iter = max_iter
-        self.tie_tol = tie_tol
-        self.seed = seed
-        self.record_trace = record_trace

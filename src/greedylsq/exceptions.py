@@ -17,6 +17,11 @@ class ZeroColumn(GreedyLsqError):
     """A candidate column has zero squared norm and cannot be stepped on."""
 
 
+class NonFiniteValue(GreedyLsqError):
+    """An input or a stopping quantity is NaN or infinite, so a solve
+    could not tell convergence from overflow."""
+
+
 class FactorOutOfRange(GreedyLsqError):
     """A contraction factor fell outside [0, 1); the inputs are inconsistent."""
 

@@ -21,13 +21,14 @@ maintained incrementally (one column axpy per step) while the full
 gradient A^T r is recomputed fresh every iteration; that split is what
 makes the per-iteration cost of the greedy rules comparable.
 """
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .exceptions import AllZeroGradient, ZeroColumn
+from .exceptions import AllZeroGradient, NonFiniteValue, ZeroColumn
 from .linalg import (
     axpy_column,
     column_dot,
@@ -121,18 +122,14 @@ class SolveReport:
     elapsed_seconds: float
     final_res: float
     trace: list[StepRecord] | None = None
+    # Largest ||r - (b - A x)|| / ||b|| seen at the checkpoints and at exit.
     max_drift_rel: float = 0.0
 
 
-def ggs_select(s, col_norms_sq, tie_tolerance_rel):
-    """Two-stage greedy selection.
-
-    Stage 1 keeps every column whose gradient magnitude is within
-    ``tie_tolerance_rel`` (relative) of the maximum; stage 2 picks the
-    member maximizing s[j]^2 / ||A[:, j]||^2, lowest index on ties.
-
-    Returns:
-        (chosen index, candidate index array).
+def _greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
+    """Stage 1 of both greedy rules: every column whose gradient magnitude
+    is within ``tie_tolerance_rel`` (relative) of the maximum, with its
+    ratio s[j]^2 / ||A[:, j]||^2.
 
     Raises:
         AllZeroGradient: if s is identically zero.
@@ -146,22 +143,24 @@ def ggs_select(s, col_norms_sq, tie_tolerance_rel):
     norms = col_norms_sq[candidates]
     if np.any(norms <= 0.0):
         raise ZeroColumn("candidate column has zero norm")
-    ratios = s[candidates] ** 2 / norms
+    return candidates, s[candidates] ** 2 / norms
+
+
+def ggs_select(s, col_norms_sq, tie_tolerance_rel):
+    """Two-stage greedy selection: stage 2 picks the candidate maximizing
+    s[j]^2 / ||A[:, j]||^2, lowest index on ties.
+
+    Returns:
+        (chosen index, candidate index array).
+    """
+    candidates, ratios = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
     return int(candidates[int(np.argmax(ratios))]), candidates
 
 
 def ggs_randomized_select(s, col_norms_sq, tie_tolerance_rel, rng):
     """Like ggs_select, but samples from the candidate set with
     probability proportional to s[j]^2 / ||A[:, j]||^2."""
-    abs_s = np.abs(s)
-    s_max = abs_s.max()
-    if s_max == 0.0:
-        raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
-    candidates = np.flatnonzero(abs_s >= (1.0 - tie_tolerance_rel) * s_max)
-    norms = col_norms_sq[candidates]
-    if np.any(norms <= 0.0):
-        raise ZeroColumn("candidate column has zero norm")
-    weights = s[candidates] ** 2 / norms
+    candidates, weights = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
     return int(candidates[_sample_inverse_cdf(weights, rng)]), candidates
 
 
@@ -223,6 +222,33 @@ def step(x, r, A, j, col_norm_sq_j):
     return x, r
 
 
+# The selection rule of each method, called as rule(s, col_norms_sq,
+# frob_sq, tie_tolerance_rel, rng) and returning (chosen index, member
+# index array, grcd threshold or None).  Each entry looks its select
+# function up by module attribute at call time, so a wrapper installed
+# there (perfbench's tracer) sees every call.
+_SELECT = {
+    Method.GGS: lambda s, norms, frob_sq, tie, rng: (*ggs_select(s, norms, tie), None),
+    Method.GGS_RANDOMIZED: lambda s, norms, frob_sq, tie, rng: (
+        *ggs_randomized_select(s, norms, tie, rng), None),
+    Method.GRCD: lambda s, norms, frob_sq, tie, rng: grcd_select(s, norms, frob_sq, rng),
+    Method.RGS: lambda s, norms, frob_sq, tie, rng: (
+        (j := rgs_select(norms, frob_sq, rng)), [j], None),
+}
+
+
+def _residual_drift(A, x, b, r, b_norm):
+    """Fresh residual b - A x and the distance of r from it.
+
+    Drift is judged relative to ||b|| = ||r_0||: on consistent problems
+    the current residual shrinks to rounding level, so normalizing by it
+    would be meaningless.
+    """
+    fresh = b - matvec(A, x)
+    drift = float(np.linalg.norm(r - fresh))
+    return fresh, drift / b_norm if b_norm > 0.0 else drift
+
+
 def solve(problem, config, x0=None):
     """Run the configured method on a least-squares problem.
 
@@ -239,6 +265,11 @@ def solve(problem, config, x0=None):
     Returns:
         SolveReport with the solution, iteration count, stop reason,
         elapsed wall time and (optionally) the per-iteration trace.
+
+    Raises:
+        NonFiniteValue: if A (through its squared column norms), b or
+            ||A^T b||^2 is not finite, or the stop measure stops being
+            finite during the run.
     """
     A = problem.matrix
     m, n = A.shape
@@ -248,6 +279,7 @@ def solve(problem, config, x0=None):
         x_star = as_vector(x_star, size=n, name="known_solution")
 
     method = config.method
+    select = _SELECT[method]
     rng = np.random.default_rng(config.seed) if method.randomized else None
     record = config.record_trace
     tol = config.res_tolerance
@@ -255,6 +287,12 @@ def solve(problem, config, x0=None):
     t_start = time.perf_counter()
     col_norms = column_norms_sq(A)
     frob_sq = float(col_norms.sum())
+    # A NaN, infinite or overflowing entry of A shows in its column norms,
+    # so this needs no extra pass over the matrix.
+    if not np.isfinite(col_norms).all():
+        raise NonFiniteValue("the squared column norms of the matrix are not all finite")
+    if not np.isfinite(b).all():
+        raise NonFiniteValue("the rhs has a NaN or infinite entry")
 
     if x0 is None:
         x = np.zeros(n)
@@ -270,72 +308,65 @@ def solve(problem, config, x0=None):
     if not use_res_stop:
         s0 = transpose_matvec(A, b)
         grad0_sq = float(np.dot(s0, s0))
+        if not math.isfinite(grad0_sq):
+            raise NonFiniteValue(f"||A^T b||^2 is {grad0_sq}, not finite")
 
     # The gradient is needed for selection by every method except rgs,
-    # and for the trace / gradient stopping rule regardless of method;
-    # its norm only matters for the latter two.
+    # and for the trace and the gradient stopping rule regardless of method.
     need_gradient = method is not Method.RGS or record or not use_res_stop
-    need_gradient_norm = record or not use_res_stop
 
-    trace = [] if record else None
-    max_drift = 0.0
-    stop_reason = None
-    final_res = 0.0
-    k = 0
+    def measure(x, r, k):
+        """State of iterate k: (gradient, its squared norm, res, stop
+        measure, whether the measure reached the tolerance).
 
-    while True:
+        The stop measure is res when the true solution is known, else the
+        gradient ratio ||A^T r||^2 / ||A^T b||^2.
+        """
         s = transpose_matvec(A, r) if need_gradient else None
-        grad_sq = float(np.dot(s, s)) if s is not None and need_gradient_norm else None
-
+        grad_sq = float(np.dot(s, s)) if s is not None else None
         res = None
-        energy = None
         if x_star is not None:
             d = x - x_star
             res = float(np.dot(d, d)) / x_star_norm_sq if x_star_norm_sq > 0.0 else float(np.dot(d, d))
-            if record:
-                energy = energy_error_sq(A, x, x_star)
-
         if use_res_stop:
-            if res <= tol:
-                stop_reason, final_res = StopReason.RES_REACHED, res
-                break
+            value, reached = res, res <= tol
         else:
-            if grad_sq <= tol * grad0_sq:
-                stop_reason = StopReason.GRADIENT_REACHED
-                final_res = grad_sq / grad0_sq if grad0_sq > 0.0 else 0.0
-                break
+            value = grad_sq / grad0_sq if grad0_sq > 0.0 else 0.0
+            reached = grad_sq <= tol * grad0_sq
+        if not math.isfinite(value):
+            name = "relative solution error" if use_res_stop else "gradient ratio"
+            raise NonFiniteValue(f"the {name} is {value} at iteration {k}")
+        return s, grad_sq, res, value, reached
+
+    def energy(x):
+        return energy_error_sq(A, x, x_star) if x_star is not None else None
+
+    trace = [] if record else None
+    max_drift = 0.0
+    k = 0
+
+    while True:
+        s, grad_sq, res, final_res, reached = measure(x, r, k)
+        if reached:
+            stop_reason = StopReason.RES_REACHED if use_res_stop else StopReason.GRADIENT_REACHED
+            break
         if k >= config.max_iterations:
             stop_reason = StopReason.ITERATION_CAP
-            final_res = res if use_res_stop else (grad_sq / grad0_sq if grad0_sq > 0.0 else 0.0)
             break
-
         try:
-            threshold = None
-            if method is Method.GGS:
-                j, cand = ggs_select(s, col_norms, config.tie_tolerance_rel)
-                set_size, norm_sum = len(cand), float(col_norms[cand].sum())
-            elif method is Method.GGS_RANDOMIZED:
-                j, cand = ggs_randomized_select(s, col_norms, config.tie_tolerance_rel, rng)
-                set_size, norm_sum = len(cand), float(col_norms[cand].sum())
-            elif method is Method.GRCD:
-                j, members, threshold = grcd_select(s, col_norms, frob_sq, rng)
-                set_size, norm_sum = len(members), float(col_norms[members].sum())
-            else:
-                j = rgs_select(col_norms, frob_sq, rng)
-                set_size, norm_sum = 1, float(col_norms[j])
+            j, members, threshold = select(s, col_norms, frob_sq, config.tie_tolerance_rel, rng)
         except AllZeroGradient:
             stop_reason = StopReason.GRADIENT_REACHED
-            final_res = res if use_res_stop else 0.0
             break
 
         if record:
             trace.append(StepRecord(
                 iteration=k,
                 chosen_index=j,
-                candidate_set_size=set_size,
-                candidate_norm_sum=norm_sum,
+                candidate_set_size=len(members),
+                candidate_norm_sum=float(col_norms[members].sum()),
                 residual_gradient_norm_sq=grad_sq,
-                energy_error_sq=energy,
+                energy_error_sq=energy(x),
                 res=res,
                 threshold=threshold,
             ))
@@ -344,32 +375,22 @@ def solve(problem, config, x0=None):
         k += 1
 
         if k % DRIFT_CHECK_INTERVAL == 0:
-            # Drift is judged relative to ||b|| = ||r_0||: on consistent
-            # problems the current residual shrinks to rounding level, so
-            # normalizing by it would be meaningless.
-            fresh = b - matvec(A, x)
-            drift = float(np.linalg.norm(r - fresh))
-            if b_norm > 0.0:
-                drift /= b_norm
+            r, drift = _residual_drift(A, x, b, r, b_norm)
             max_drift = max(max_drift, drift)
-            r = fresh
 
+    if k % DRIFT_CHECK_INTERVAL:
+        # Also measure the drift of a run that did not end on a checkpoint,
+        # keeping r so the final trace record is the iterated state.
+        max_drift = max(max_drift, _residual_drift(A, x, b, r, b_norm)[1])
     elapsed = time.perf_counter() - t_start
 
     if record:
         # Close the trace with a state-only record for the final iterate.
-        s = transpose_matvec(A, r)
-        final_energy = energy_error_sq(A, x, x_star) if x_star is not None else None
-        if x_star is not None:
-            d = x - x_star
-            final_res_entry = float(np.dot(d, d)) / x_star_norm_sq if x_star_norm_sq > 0.0 else float(np.dot(d, d))
-        else:
-            final_res_entry = None
         trace.append(StepRecord(
             iteration=k,
-            residual_gradient_norm_sq=float(np.dot(s, s)),
-            energy_error_sq=final_energy,
-            res=final_res_entry,
+            residual_gradient_norm_sq=grad_sq,
+            energy_error_sq=energy(x),
+            res=res,
         ))
 
     return SolveReport(

@@ -82,16 +82,6 @@ def test_failed_trials_excluded_with_warning():
     assert Method.GGS not in result.mean_it
 
 
-def test_parallel_trials_match_serial_iterations():
-    spec = ExperimentSpec(problem=random_entry(m=150, n=10), methods=[Method.GGS, Method.GRCD],
-                          repeats=4, base_seed=6)
-    serial = run_experiment(spec, jobs=1)
-    parallel = run_experiment(spec, jobs=3)
-    for a, b in zip(serial.trials, parallel.trials):
-        assert (a.trial, a.method, a.iterations) == (b.trial, b.method, b.iterations)
-    assert serial.it_speedup == pytest.approx(parallel.it_speedup, rel=1e-15)
-
-
 def synthetic_result():
     return ExperimentResult(
         label="1000x50",

@@ -225,3 +225,14 @@ def test_bench_reports_failed_experiment(tmp_path, capsys):
     assert code == 1
     assert "gone" in err
     assert "ok" in out  # the healthy experiment still ran
+
+
+def test_solve_non_finite_rhs_exits_1_with_one_line(tmp_path, capsys):
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\ninf\n3.0\n")
+    code, out, err = run_cli(capsys, "solve", data_path("fixture3x2.mtx"), "--rhs", str(rhs))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("greedylsq: ") and err.count("\n") == 1
+    assert "rhs" in err
+

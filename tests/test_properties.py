@@ -1,0 +1,100 @@
+"""Property tests of the solve loop on small generated problems.
+
+Each example is a seeded Gaussian matrix, optionally thinned to a sparse
+pattern (every column keeps at least one entry), solved in dense
+column-major storage and as a CSC copy.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from greedylsq.linalg import column_dot, column_norms_sq
+from greedylsq.problems import LsqProblem
+from greedylsq.solvers import Method, SolverConfig, solve, step
+
+# Fewer steps than a drift checkpoint, so replaying the chosen columns
+# from zero reproduces the solver's residual exactly.
+MAX_STEPS = 500
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([1.0, 0.5]))
+    known = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    A[rng.random((m, n)) >= density] = 0.0
+    A[rng.integers(0, m, size=n), np.arange(n)] = rng.standard_normal(n) + 3.0
+    A = np.asfortranarray(A)
+    x_true = rng.standard_normal(n) if known else None
+    b = A @ x_true if known else rng.standard_normal(m)
+    return A, b, x_true
+
+
+def _config(method, seed=0, record_trace=True):
+    return SolverConfig(method=method, seed=seed, record_trace=record_trace,
+                        max_iterations=MAX_STEPS, res_tolerance=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from(list(Method)), st.integers(0, 1000))
+def test_dense_and_csc_storage_give_the_same_trace(prob, method, seed):
+    A, b, x_true = prob
+    dense = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), _config(method, seed))
+    csc = solve(LsqProblem(matrix=sparse.csc_array(A), rhs=b, known_solution=x_true),
+                _config(method, seed))
+    assert (dense.iterations, dense.stop_reason) == (csc.iterations, csc.stop_reason)
+    assert len(dense.trace) == len(csc.trace)
+    # Selections match exactly.  The two storage forms sum products in
+    # different orders, so each recorded value agrees to rounding relative
+    # to the largest magnitude that value takes over the run.
+    for d, c in zip(dense.trace, csc.trace):
+        assert (d.iteration, d.chosen_index, d.candidate_set_size) == \
+               (c.iteration, c.chosen_index, c.candidate_set_size)
+    for name in ("candidate_norm_sum", "threshold", "residual_gradient_norm_sq",
+                 "energy_error_sq", "res"):
+        a = [getattr(rec, name) for rec in dense.trace]
+        z = [getattr(rec, name) for rec in csc.trace]
+        assert [v is None for v in a] == [v is None for v in z]
+        a = np.array([v for v in a if v is not None])
+        z = np.array([v for v in z if v is not None])
+        if a.size:
+            scale = max(np.abs(a).max(), np.abs(z).max())
+            assert np.abs(a - z).max() <= 1e-9 * scale, name
+    np.testing.assert_allclose(dense.solution, csc.solution, rtol=1e-9, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from(list(Method)), st.booleans())
+def test_residual_is_orthogonal_to_the_stepped_column(prob, method, use_csc):
+    A, b, x_true = prob
+    M = sparse.csc_array(A) if use_csc else A
+    report = solve(LsqProblem(matrix=M, rhs=b, known_solution=x_true), _config(method))
+    norms = column_norms_sq(M)
+    x, r = np.zeros(A.shape[1]), b.copy()
+    for rec in report.trace[:-1]:
+        j = rec.chosen_index
+        # An upper bound on ||r|| that cannot underflow, since runs with
+        # m < n drive the residual far below 1e-154.
+        r_bound = np.sqrt(len(r)) * np.abs(r).max()
+        step(x, r, M, j, norms[j])
+        assert abs(column_dot(M, j, r)) <= 1e-12 * np.sqrt(norms[j]) * r_bound
+    np.testing.assert_array_equal(x, report.solution)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_ggs_energy_error_never_increases(prob):
+    A, b, x_true = prob
+    if x_true is None:
+        x_true = np.linalg.lstsq(A, b, rcond=None)[0]
+    report = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), _config(Method.GGS))
+    energy = [rec.energy_error_sq for rec in report.trace]
+    slack = 1e-12 * energy[0]
+    assert all(nxt <= cur + slack for cur, nxt in zip(energy, energy[1:]))

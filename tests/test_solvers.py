@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from greedylsq.exceptions import AllZeroGradient, ZeroColumn
+from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, NonFiniteValue, ZeroColumn
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, gen_gaussian, make_consistent, make_inconsistent
 from greedylsq.solvers import (
+    DRIFT_CHECK_INTERVAL,
     Method,
     SolverConfig,
     StopReason,
@@ -357,3 +358,54 @@ def test_config_validation():
     assert defaults.max_iterations == 200_000
     assert defaults.res_tolerance == 1e-6
     assert defaults.tie_tolerance_rel == 1e-12
+
+
+def test_short_run_reports_its_drift():
+    # No drift checkpoint is reached, so the drift is measured at exit.
+    A = gen_gaussian(200, 20, seed=91)
+    report = solve(make_consistent(A, seed=92), SolverConfig(method=Method.GGS))
+    assert 0 < report.iterations < DRIFT_CHECK_INTERVAL
+    assert 0.0 < report.max_drift_rel <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+def _non_finite_problem(case):
+    """A 50x5 Gaussian problem with no known solution, scaled by ``case``
+    or with one NaN in A or one inf in b."""
+    rng = np.random.default_rng(81)
+    A = rng.standard_normal((50, 5))
+    b = rng.standard_normal(50)
+    if case == "nan_in_A":
+        A[3, 2] = np.nan
+    elif case == "inf_in_b":
+        b[7] = np.inf
+    else:
+        A, b = A * case, b * case
+    return LsqProblem(matrix=np.asfortranarray(A), rhs=b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", [1e100, 1e150, 1e200, "nan_in_A", "inf_in_b"])
+@pytest.mark.parametrize("method", list(Method))
+def test_non_finite_input_never_reports_convergence(method, case):
+    config = SolverConfig(method=method, max_iterations=2000)
+    try:
+        report = solve(_non_finite_problem(case), config)
+    except GreedyLsqError:
+        return
+    assert report.stop_reason is not StopReason.ITERATION_CAP
+    assert np.isfinite(report.final_res)
+    assert report.final_res <= config.res_tolerance
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_error_names_the_quantity():
+    with pytest.raises(NonFiniteValue, match="column norms"):
+        solve(_non_finite_problem("nan_in_A"), SolverConfig())
+    with pytest.raises(NonFiniteValue, match="rhs"):
+        solve(_non_finite_problem("inf_in_b"), SolverConfig())
+    with pytest.raises(NonFiniteValue, match=r"A\^T b"):
+        solve(_non_finite_problem(1e150), SolverConfig())
