@@ -17,9 +17,18 @@ column is selected:
 
 Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
 which zeroes the gradient entry of the chosen column.  The residual is
-maintained incrementally (one column axpy per step) while the full
-gradient A^T r is recomputed fresh every iteration; that split is what
-makes the per-iteration cost of the greedy rules comparable.
+maintained incrementally (one column axpy per step).  The gradient
+s = A^T r, when a method, the trace or the stopping rule needs it, is
+kept current the same way: s -= alpha * G[j] with the dense Gram matrix
+G = A^T A built once per solve.  It is recomputed fresh from A^T r at the
+start, at every drift checkpoint, whenever its largest entry has fallen
+by GRADIENT_FALL_REFRESH since its last fresh value, at every step once
+that entry is below GRADIENT_ROUNDING_LEVEL times its initial value, and
+before a stop on the gradient rule or at the iteration cap in
+gradient-stop mode, so no reported gradient stop rests on accumulated
+rounding.  G takes n*n*8 bytes; when that exceeds both the matrix's own
+stored bytes and GRAM_BUDGET_BYTES, no G is built and A^T r is
+recomputed every step instead.
 """
 import math
 import time
@@ -28,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from .analysis import gram_matrix
 from .exceptions import AllZeroGradient, NonFiniteValue, ZeroColumn
 from .linalg import (
     axpy_column,
@@ -37,11 +47,23 @@ from .linalg import (
     matvec,
     transpose_matvec,
 )
-from .validation import as_vector
+from .validation import as_vector, is_sparse
 
 # Incremental residuals are rebuilt from scratch this often to stop
 # rounding drift from accumulating over very long runs.
 DRIFT_CHECK_INTERVAL = 1000
+
+# A dense Gram matrix for the incremental gradient may always take this
+# many bytes, and more when the matrix itself is stored in more.
+GRAM_BUDGET_BYTES = 32 * 2**20
+
+# The incremental gradient is recomputed from A^T r once max|s| has fallen
+# by this factor since its last fresh value (the updates' rounding error
+# is relative to that fresh value, so relative to s it grows as s falls),
+# and at every step once max|s| is below this rounding level relative to
+# its initial value, where selections on updated values would run on noise.
+GRADIENT_FALL_REFRESH = 1e-4
+GRADIENT_ROUNDING_LEVEL = 1e-12
 
 
 class Method(Enum):
@@ -143,7 +165,18 @@ def _greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
     norms = col_norms_sq[candidates]
     if np.any(norms <= 0.0):
         raise ZeroColumn("candidate column has zero norm")
-    return candidates, s[candidates] ** 2 / norms
+    t = _unit_scaled(s[candidates], s_max)
+    return candidates, t * t / norms
+
+
+def _unit_scaled(s, s_max):
+    """s times the power of two that brings s_max = max|s| into [0.5, 1).
+
+    The scaling is exact, so squares of s can neither overflow nor
+    underflow to zero, and every ratio or comparison of squares, and any
+    draw weighted by them, is the same as without it.
+    """
+    return np.ldexp(s, -math.frexp(s_max)[1])
 
 
 def ggs_select(s, col_norms_sq, tie_tolerance_rel):
@@ -171,14 +204,16 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     (relative to ||s||^2) and 1 / ||A||_F^2; every column whose squared
     gradient entry clears threshold * ||s||^2 * ||A[:, j]||^2 is kept, and
     the working column is sampled with probability proportional to its
-    squared gradient entry.
+    squared gradient entry.  All of these are invariant to the scale of s,
+    so they are computed from s scaled to a largest magnitude near 1.
 
     Returns:
         (chosen index, member index array, threshold).
     """
     if np.any(col_norms_sq <= 0.0):
         raise ZeroColumn("all columns must have positive norm")
-    sq = s * s
+    t = _unit_scaled(s, np.abs(s).max())
+    sq = t * t
     s_norm_sq = float(sq.sum())
     if s_norm_sq == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
@@ -213,13 +248,16 @@ def step(x, r, A, j, col_norm_sq_j):
 
     alpha is computed from the residual before mutation; afterwards the
     new residual is orthogonal to the chosen column.
+
+    Returns:
+        alpha, the change made to x[j].
     """
     if col_norm_sq_j <= 0.0:
         raise ZeroColumn(f"column {j} has zero norm")
     alpha = column_dot(A, j, r) / col_norm_sq_j
     x[j] += alpha
     axpy_column(r, A, j, -alpha)
-    return x, r
+    return alpha
 
 
 # The selection rule of each method, called as rule(s, col_norms_sq,
@@ -235,6 +273,13 @@ _SELECT = {
     Method.RGS: lambda s, norms, frob_sq, tie, rng: (
         (j := rgs_select(norms, frob_sq, rng)), [j], None),
 }
+
+
+def _stored_bytes(A):
+    """Bytes holding the entries (and, for CSC, the index arrays) of A."""
+    if is_sparse(A):
+        return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    return A.nbytes
 
 
 def _residual_drift(A, x, b, r, b_norm):
@@ -304,26 +349,34 @@ def solve(problem, config, x0=None):
 
     x_star_norm_sq = float(np.dot(x_star, x_star)) if x_star is not None else 0.0
     use_res_stop = x_star is not None and x_star_norm_sq > 0.0
-    grad0_sq = None
-    if not use_res_stop:
-        s0 = transpose_matvec(A, b)
-        grad0_sq = float(np.dot(s0, s0))
-        if not math.isfinite(grad0_sq):
-            raise NonFiniteValue(f"||A^T b||^2 is {grad0_sq}, not finite")
-
     # The gradient is needed for selection by every method except rgs,
     # and for the trace and the gradient stopping rule regardless of method.
     need_gradient = method is not Method.RGS or record or not use_res_stop
+    need_grad_sq = record or not use_res_stop
 
-    def measure(x, r, k):
-        """State of iterate k: (gradient, its squared norm, res, stop
-        measure, whether the measure reached the tolerance).
+    s = transpose_matvec(A, r) if need_gradient else None
+    grad0_sq = None
+    if not use_res_stop:
+        s0 = s if x0 is None else transpose_matvec(A, b)
+        grad0_sq = float(np.dot(s0, s0))
+        if not math.isfinite(grad0_sq):
+            raise NonFiniteValue(f"||A^T b||^2 is {grad0_sq}, not finite")
+    G = None
+    if need_gradient and n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES):
+        G = gram_matrix(A)
+    # max|s| at the start and at the last fresh computation of s; the
+    # refresh triggers compare these rather than ||s||^2, which overflows
+    # long before s does.
+    s_max0 = s_max_fresh = float(np.abs(s).max()) if G is not None else None
+
+    def measure(x, s, k):
+        """State of iterate k: (squared gradient norm, res, stop measure,
+        whether the measure reached the tolerance).
 
         The stop measure is res when the true solution is known, else the
         gradient ratio ||A^T r||^2 / ||A^T b||^2.
         """
-        s = transpose_matvec(A, r) if need_gradient else None
-        grad_sq = float(np.dot(s, s)) if s is not None else None
+        grad_sq = float(np.dot(s, s)) if need_grad_sq else None
         res = None
         if x_star is not None:
             d = x - x_star
@@ -336,7 +389,7 @@ def solve(problem, config, x0=None):
         if not math.isfinite(value):
             name = "relative solution error" if use_res_stop else "gradient ratio"
             raise NonFiniteValue(f"the {name} is {value} at iteration {k}")
-        return s, grad_sq, res, value, reached
+        return grad_sq, res, value, reached
 
     def energy(x):
         return energy_error_sq(A, x, x_star) if x_star is not None else None
@@ -344,9 +397,22 @@ def solve(problem, config, x0=None):
     trace = [] if record else None
     max_drift = 0.0
     k = 0
+    # stale: s was updated from G since it was last computed from r.
+    # refresh: s must be computed from r before it is next used.
+    stale = refresh = False
 
     while True:
-        s, grad_sq, res, final_res, reached = measure(x, r, k)
+        if refresh:
+            s = transpose_matvec(A, r)
+            stale = refresh = False
+            if G is not None:
+                s_max_fresh = float(np.abs(s).max())
+        grad_sq, res, final_res, reached = measure(x, s, k)
+        if stale and not use_res_stop and (reached or k >= config.max_iterations):
+            # A gradient stop, or a gradient ratio reported at the cap,
+            # must hold for a fresh gradient, not only for the updated one.
+            refresh = True
+            continue
         if reached:
             stop_reason = StopReason.RES_REACHED if use_res_stop else StopReason.GRADIENT_REACHED
             break
@@ -356,6 +422,9 @@ def solve(problem, config, x0=None):
         try:
             j, members, threshold = select(s, col_norms, frob_sq, config.tie_tolerance_rel, rng)
         except AllZeroGradient:
+            if stale:
+                refresh = True
+                continue
             stop_reason = StopReason.GRADIENT_REACHED
             break
 
@@ -371,12 +440,22 @@ def solve(problem, config, x0=None):
                 threshold=threshold,
             ))
 
-        step(x, r, A, j, col_norms[j])
+        alpha = step(x, r, A, j, col_norms[j])
         k += 1
 
         if k % DRIFT_CHECK_INTERVAL == 0:
             r, drift = _residual_drift(A, x, b, r, b_norm)
             max_drift = max(max_drift, drift)
+            refresh = need_gradient
+        elif G is not None:
+            # G is symmetric, so its row j is column j, stored contiguously.
+            s -= alpha * G[j]
+            stale = True
+            s_max = float(np.abs(s).max())
+            refresh = (s_max < GRADIENT_FALL_REFRESH * s_max_fresh
+                       or s_max < GRADIENT_ROUNDING_LEVEL * s_max0)
+        else:
+            refresh = need_gradient
 
     if k % DRIFT_CHECK_INTERVAL:
         # Also measure the drift of a run that did not end on a checkpoint,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from greedylsq import solvers
 from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, NonFiniteValue, ZeroColumn
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, gen_gaussian, make_consistent, make_inconsistent
@@ -90,6 +92,27 @@ def test_grcd_membership_invariant():
         assert j in members
         best = int(np.argmax(s * s / norms))
         assert best in members
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_greedy_selections_ignore_the_scale_of_the_gradient(power):
+    # 2**600 squared overflows and 2**-600 squared underflows to zero; the
+    # selections, member sets, thresholds and draws must not notice.
+    s = np.random.default_rng(6).standard_normal(9)
+    norms = np.random.default_rng(7).random(9) + 0.5
+    scaled = s * 2.0 ** power
+    for seed in range(5):
+        j, members, threshold = grcd_select(s, norms, 9.0, np.random.default_rng(seed))
+        j2, members2, threshold2 = grcd_select(scaled, norms, 9.0, np.random.default_rng(seed))
+        assert (j, list(members), threshold) == (j2, list(members2), threshold2)
+    # Entries above 1 in magnitude become ties at +-3, so both greedy
+    # rules see several candidates with different norm ratios.
+    tied = np.where(np.abs(s) > 1.0, np.sign(s) * 3.0, s)
+    for rule in (lambda v, rng: ggs_select(v, norms, 1e-12),
+                 lambda v, rng: ggs_randomized_select(v, norms, 1e-12, rng)):
+        j, cand = rule(tied, np.random.default_rng(4))
+        j2, cand2 = rule(tied * 2.0 ** power, np.random.default_rng(4))
+        assert (j, list(cand)) == (j2, list(cand2))
 
 
 def test_rgs_select_frequencies():
@@ -369,6 +392,118 @@ def test_short_run_reports_its_drift():
 
 
 # ---------------------------------------------------------------------------
+# incremental gradient: cost and honesty
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    """Count the calls solve makes to the solvers-module function ``name``."""
+    original = getattr(solvers, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+def _sparse_problem():
+    """A consistent 400x100 CSC problem whose 1.9k stored entries take
+    fewer bytes than its dense 100x100 Gram matrix."""
+    rng = np.random.default_rng(71)
+    D = rng.standard_normal((400, 100))
+    D[rng.random((400, 100)) > 0.05] = 0.0
+    return make_consistent(sparse.csc_array(D), seed=72)
+
+
+def test_gradient_stop_computes_the_initial_gradient_once(monkeypatch):
+    A = gen_gaussian(200, 20, seed=12)
+    problem = LsqProblem(matrix=A, rhs=make_inconsistent(A, seed=13).rhs)
+    calls = _count_calls(monkeypatch, "transpose_matvec")
+    report = solve(problem, SolverConfig(method=Method.GGS))
+    assert report.stop_reason is StopReason.GRADIENT_REACHED and report.iterations > 50
+    # One for the initial gradient, which also gives ||A^T b||^2, and one
+    # confirming the stop on a fresh gradient.
+    assert len(calls) == 2
+
+    # Without a Gram matrix the gradient is recomputed after every step.
+    sparse_problem = _sparse_problem()
+    problem = LsqProblem(matrix=sparse_problem.matrix, rhs=sparse_problem.rhs)
+    monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    calls.clear()
+    report = solve(problem, SolverConfig(method=Method.GGS))
+    assert report.stop_reason is StopReason.GRADIENT_REACHED
+    assert len(calls) == report.iterations + 1
+
+
+@pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED, Method.GRCD])
+def test_greedy_solve_computes_the_gradient_once(monkeypatch, method):
+    problem = make_consistent(gen_gaussian(200, 20, seed=12), seed=13)
+    calls = _count_calls(monkeypatch, "transpose_matvec")
+    grams = _count_calls(monkeypatch, "gram_matrix")
+    report = solve(problem, SolverConfig(method=method, seed=1))
+    assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 50
+    assert (len(calls), len(grams)) == (1, 1)
+
+
+def test_rgs_with_known_solution_never_needs_the_gradient(monkeypatch):
+    calls = _count_calls(monkeypatch, "transpose_matvec")
+    grams = _count_calls(monkeypatch, "gram_matrix")
+    for problem in (make_consistent(gen_gaussian(200, 20, seed=12), seed=13), _sparse_problem()):
+        report = solve(problem, SolverConfig(method=Method.RGS, seed=1))
+        assert report.stop_reason is StopReason.RES_REACHED
+    assert (len(calls), len(grams)) == (0, 0)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, method):
+    problem = _sparse_problem()
+    config = SolverConfig(method=method, seed=1, record_trace=True)
+    incremental = solve(problem, config)
+    grams = _count_calls(monkeypatch, "gram_matrix")
+    calls = _count_calls(monkeypatch, "transpose_matvec")
+    monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    per_step = solve(problem, config)
+    assert len(grams) == 0 and len(calls) == per_step.iterations + 1
+    assert (per_step.iterations, per_step.stop_reason) == \
+           (incremental.iterations, incremental.stop_reason)
+    assert [rec.chosen_index for rec in per_step.trace] == \
+           [rec.chosen_index for rec in incremental.trace]
+
+
+def _fresh_gradient_norm_sq(problem, x):
+    A = problem.matrix
+    g = A.T @ (problem.rhs - A @ x)
+    return float(g @ g)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_capped_run_reports_a_fresh_gradient_norm(method):
+    # Far from rounding level after the cap, past a drift checkpoint.
+    problem = make_consistent(gen_gaussian(300, 150, seed=5), seed=6)
+    report = solve(problem, SolverConfig(method=method, seed=2, record_trace=True,
+                                         max_iterations=DRIFT_CHECK_INTERVAL + 500,
+                                         res_tolerance=1e-30))
+    assert report.stop_reason is StopReason.ITERATION_CAP
+    fresh = _fresh_gradient_norm_sq(problem, report.solution)
+    assert report.trace[-1].residual_gradient_norm_sq == pytest.approx(fresh, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_gradient_stop_holds_for_a_fresh_gradient(method):
+    A = gen_gaussian(200, 20, seed=12)
+    problem = LsqProblem(matrix=A, rhs=make_inconsistent(A, seed=13).rhs)
+    config = SolverConfig(method=method, seed=1)
+    report = solve(problem, config)
+    assert report.stop_reason is StopReason.GRADIENT_REACHED
+    ratio = _fresh_gradient_norm_sq(problem, report.solution) / _fresh_gradient_norm_sq(
+        problem, np.zeros(20))
+    assert report.final_res == pytest.approx(ratio, rel=1e-9)
+    assert report.final_res <= config.res_tolerance
+
+
+# ---------------------------------------------------------------------------
 # non-finite input
 # ---------------------------------------------------------------------------
 
@@ -409,3 +544,16 @@ def test_non_finite_error_names_the_quantity():
         solve(_non_finite_problem("inf_in_b"), SolverConfig())
     with pytest.raises(NonFiniteValue, match=r"A\^T b"):
         solve(_non_finite_problem(1e150), SolverConfig())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", list(Method))
+def test_huge_gradient_entries_still_converge(method):
+    # Gradient entries near 1e301 overflow when squared; grcd used to run
+    # to the cap with a NaN threshold.
+    rng = np.random.default_rng(81)
+    A = np.asfortranarray(rng.standard_normal((50, 5)) * 1e150)
+    x_true = rng.standard_normal(5)
+    problem = LsqProblem(matrix=A, rhs=A @ x_true, known_solution=x_true)
+    report = solve(problem, SolverConfig(method=method, seed=1, max_iterations=5000))
+    assert report.stop_reason is StopReason.RES_REACHED
