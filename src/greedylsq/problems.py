@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .analysis import gram_matrix, jacobi_eigenvalues
-from .exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
+from .exceptions import NonFiniteValue, NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from .linalg import matvec, transpose_matvec
 from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
 
@@ -120,6 +120,8 @@ def _gram_factor(A):
         return cho_factor(gram_matrix(A), lower=False)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"Gram factorization failed: {exc}") from exc
+    except ValueError as exc:  # cho_factor's finiteness check
+        raise NonFiniteValue("the Gram matrix has a NaN or infinite entry") from exc
 
 
 def reference_solution(problem):
@@ -143,9 +145,12 @@ def assert_full_column_rank(A, rel_tolerance=1e-12):
     """Return the Euclidean condition number, raising if rank-deficient.
 
     Both extreme eigenvalues of the Gram matrix come from the same
-    Jacobi iteration used everywhere else; the matrix is declared
+    eigenvalue routine used everywhere else; the matrix is declared
     rank-deficient when the smallest is at most ``rel_tolerance`` times
     the largest.
+
+    Raises:
+        NonFiniteValue: if the Gram matrix has a NaN or infinite entry.
     """
     eigs = jacobi_eigenvalues(gram_matrix(A))
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
@@ -198,25 +203,45 @@ def load_matrix_market(path):
     if mm_format == "array" and mm_field == "pattern":
         raise ParseError("array format cannot use the pattern field", 1)
 
-    # (line_number, content) for everything past comments and blanks.
-    body = [(i + 1, ln) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.lstrip().startswith("%")]
+    # Line numbers of everything past comments and blanks.
+    body = [no for no, ln in enumerate(lines[1:], start=2) if (s := ln.lstrip()) and s[0] != "%"]
     if not body:
         raise ParseError("missing size line", len(lines))
 
-    size_no, size_line = body[0]
-    entries = body[1:]
+    size_no, entry_nos = body[0], body[1:]
+    size_line = lines[size_no - 1]
+    entries = [lines[no - 1] for no in entry_nos]
     if mm_format == "coordinate":
-        rows, cols, vals, shape = _parse_coordinate(size_no, size_line, entries, mm_field)
+        rows, cols, vals, shape = _parse_coordinate(size_no, size_line, entry_nos, entries, mm_field)
     else:
-        rows, cols, vals, shape = _parse_array(size_no, size_line, entries, mm_symmetry)
+        rows, cols, vals, shape = _parse_array(size_no, size_line, entry_nos, entries, mm_symmetry)
 
     rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, size_no)
     M = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsc()
     return as_csc_matrix(M)
 
 
-def _parse_coordinate(size_no, size_line, entries, mm_field):
+# Columns of a coordinate entry line; an array line holds the value alone.
+_ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
+
+
+def _read_columns(entries, fields):
+    """Parse every entry line in one call, one array per field.
+
+    Returns None when a line has the wrong number of fields or a token
+    does not parse; the caller then rescans line by line to name it.
+    numpy's parsers accept no token that ``int`` and ``float`` reject,
+    and round every value as ``float`` does.
+    """
+    if not entries:
+        return None
+    try:
+        return np.loadtxt(entries, dtype=fields, comments=None, ndmin=1, unpack=True)
+    except ValueError:
+        return None
+
+
+def _parse_coordinate(size_no, size_line, entry_nos, entries, mm_field):
     parts = size_line.split()
     if len(parts) != 3:
         raise ParseError("coordinate size line needs 'rows cols nnz'", size_no)
@@ -227,20 +252,27 @@ def _parse_coordinate(size_no, size_line, entries, mm_field):
     if m < 1 or n < 1 or nnz < 0:
         raise ParseError(f"bad dimensions {m} x {n} with {nnz} entries", size_no)
     if len(entries) != nnz:
-        where = entries[-1][0] if entries else size_no
+        where = entry_nos[-1] if entry_nos else size_no
         raise ParseError(f"expected {nnz} entries, found {len(entries)}", where)
 
-    want = 2 if mm_field == "pattern" else 3
+    pattern = mm_field == "pattern"
+    columns = _read_columns(entries, _ENTRY_FIELDS[:2] if pattern else _ENTRY_FIELDS)
+    if columns is not None:
+        i, j = columns[0], columns[1]
+        if np.all((1 <= i) & (i <= m) & (1 <= j) & (j <= n)):
+            return i - 1, j - 1, np.ones(nnz) if pattern else columns[2], (m, n)
+
+    want = 2 if pattern else 3
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz)
-    for k, (no, ln) in enumerate(entries):
+    for k, (no, ln) in enumerate(zip(entry_nos, entries)):
         parts = ln.split()
         if len(parts) != want:
             raise ParseError(f"expected {want} fields, got {len(parts)}", no)
         try:
             i, j = int(parts[0]), int(parts[1])
-            v = 1.0 if mm_field == "pattern" else float(parts[2])
+            v = 1.0 if pattern else float(parts[2])
         except ValueError:
             raise ParseError(f"bad entry {ln!r}", no) from None
         if not (1 <= i <= m and 1 <= j <= n):
@@ -249,7 +281,7 @@ def _parse_coordinate(size_no, size_line, entries, mm_field):
     return rows, cols, vals, (m, n)
 
 
-def _parse_array(size_no, size_line, entries, mm_symmetry):
+def _parse_array(size_no, size_line, entry_nos, entries, mm_symmetry):
     parts = size_line.split()
     if len(parts) != 2:
         raise ParseError("array size line needs 'rows cols'", size_no)
@@ -262,21 +294,23 @@ def _parse_array(size_no, size_line, entries, mm_symmetry):
     if mm_symmetry != "general" and m != n:
         raise ParseError(f"{mm_symmetry} storage needs a square matrix", size_no)
 
-    if mm_symmetry == "general":
-        coords = [(i, j) for j in range(n) for i in range(m)]
-    elif mm_symmetry == "symmetric":
-        coords = [(i, j) for j in range(n) for i in range(j, m)]
-    else:  # skew-symmetric: strictly below the diagonal
-        coords = [(i, j) for j in range(n) for i in range(j + 1, m)]
+    # Values are stored column by column: all of them, the lower triangle
+    # (symmetric) or the strict lower triangle (skew-symmetric).
+    count = {"general": m * n, "symmetric": n * (n + 1) // 2, "skew-symmetric": n * (n - 1) // 2}
+    if len(entries) != count[mm_symmetry]:
+        where = entry_nos[-1] if entry_nos else size_no
+        raise ParseError(f"expected {count[mm_symmetry]} values, found {len(entries)}", where)
+    cols, rows = np.indices((n, m)).reshape(2, -1)
+    if mm_symmetry != "general":
+        keep = rows >= cols + (mm_symmetry == "skew-symmetric")
+        rows, cols = rows[keep], cols[keep]
 
-    if len(entries) != len(coords):
-        where = entries[-1][0] if entries else size_no
-        raise ParseError(f"expected {len(coords)} values, found {len(entries)}", where)
+    columns = _read_columns(entries, _ENTRY_FIELDS[2:])
+    if columns is not None:
+        return rows, cols, columns[0], (m, n)
 
-    rows = np.empty(len(coords), dtype=np.int64)
-    cols = np.empty(len(coords), dtype=np.int64)
-    vals = np.empty(len(coords))
-    for k, ((i, j), (no, ln)) in enumerate(zip(coords, entries)):
+    vals = np.empty(len(entries))
+    for k, (no, ln) in enumerate(zip(entry_nos, entries)):
         parts = ln.split()
         if len(parts) != 1:
             raise ParseError(f"expected one value per line, got {ln!r}", no)
@@ -284,7 +318,6 @@ def _parse_array(size_no, size_line, entries, mm_symmetry):
             vals[k] = float(parts[0])
         except ValueError:
             raise ParseError(f"bad value {ln!r}", no) from None
-        rows[k], cols[k] = i, j
     return rows, cols, vals, (m, n)
 
 
@@ -306,26 +339,20 @@ def save_matrix_market(A, path, comment=None):
     """Write a matrix back out: coordinate format for sparse storage,
     array format for dense.  Full float precision, so a load round-trips
     exactly."""
+    if is_sparse(A):
+        # Canonical CSC holds its entries column by column with rows
+        # ascending, the order the file lists them in.
+        A = as_csc_matrix(A)
+        coo = A.tocoo()
+        kind, size = "coordinate", f"{A.shape[0]} {A.shape[1]} {A.nnz}"
+        body = "".join("%d %d %.17g\n" % entry for entry in zip(
+            (coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist()))
+    else:
+        kind, size = "array", f"{A.shape[0]} {A.shape[1]}"
+        body = "".join("%.17g\n" % v for v in np.asarray(A).ravel(order="F").tolist())
+    note = f"% {comment}\n" if comment else ""
     with open(path, "w", encoding="ascii") as fh:
-        if is_sparse(A):
-            A = as_csc_matrix(A)
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-            coo = A.tocoo()
-            order = np.lexsort((coo.row, coo.col))
-            for k in order:
-                fh.write(f"{coo.row[k] + 1} {coo.col[k] + 1} {coo.data[k]:.17g}\n")
-        else:
-            m, n = A.shape
-            fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{m} {n}\n")
-            for j in range(n):
-                for i in range(m):
-                    fh.write(f"{A[i, j]:.17g}\n")
+        fh.write(f"%%MatrixMarket matrix {kind} real general\n{note}{size}\n{body}")
 
 
 def load_vector(path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from oracles import charpoly_smallest_eigenvalue
 
@@ -16,22 +17,42 @@ from greedylsq.analysis import (
 from greedylsq.exceptions import (
     FactorOutOfRange,
     MissingEnergyError,
+    NonFiniteValue,
     NotApplicable,
     RankDeficient,
 )
 from greedylsq.linalg import column_norms_sq
-from greedylsq.problems import LsqProblem, gen_gaussian, make_consistent
+from greedylsq.problems import LsqProblem, assert_full_column_rank, gen_gaussian, make_consistent
 from greedylsq.solvers import Method, SolverConfig, solve
 
 
-def test_jacobi_matches_lapack_on_random_symmetric():
-    rng = np.random.default_rng(5)
-    for n in (2, 5, 12, 30):
-        B = rng.standard_normal((n + 4, n))
-        G = B.T @ B
-        got = jacobi_eigenvalues(G)
-        ref = np.linalg.eigvalsh(G)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12 * np.linalg.norm(G))
+def test_eigenvalues_small_cases():
+    assert jacobi_eigenvalues([[4.0]]).tolist() == [4.0]
+    assert jacobi_eigenvalues(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(jacobi_eigenvalues([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0], rtol=1e-15)
+    assert jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0])).tolist() == [-1.0, 2.0, 3.0]
+    B = np.random.default_rng(5).standard_normal((9, 6))
+    assert np.all(np.diff(jacobi_eigenvalues(B.T @ B - 5.0 * np.eye(6))) >= 0.0)
+
+
+def test_eigenvalues_reject_non_square():
+    for G in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            jacobi_eigenvalues(G)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalues_reject_non_finite(bad):
+    G = np.eye(3)
+    G[2, 1] = G[1, 2] = bad
+    with pytest.raises(NonFiniteValue, match="Gram matrix"):
+        jacobi_eigenvalues(G)
+    A = np.eye(3)
+    A[0, 0] = bad
+    with pytest.raises(NonFiniteValue, match="Gram matrix"), np.errstate(invalid="ignore"):
+        lambda_min_pos(A)
+    with pytest.raises(NonFiniteValue, match="Gram matrix"):
+        assert_full_column_rank(sparse.csc_array(A))
 
 
 def test_lambda_min_worked(worked_dense):
@@ -61,6 +82,18 @@ def test_lambda_min_agrees_with_charpoly_bisection():
         lam = lambda_min_pos(A)
         ref = charpoly_smallest_eigenvalue(A.T @ A)
         assert abs(lam - ref) <= 1e-8 * ref
+
+
+def test_condition_number_agrees_with_charpoly_bisection():
+    # The largest eigenvalue of G is one over the smallest of G^-1.
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        A = rng.standard_normal((n + 2, n))
+        G = A.T @ A
+        lam_min = charpoly_smallest_eigenvalue(G)
+        lam_max = 1.0 / charpoly_smallest_eigenvalue(np.linalg.inv(G))
+        assert assert_full_column_rank(A) == pytest.approx(np.sqrt(lam_max / lam_min), rel=1e-8)
 
 
 def test_first_step_factor_hand_values():

@@ -1,6 +1,7 @@
 import shutil
 
 import numpy as np
+import pytest
 
 from conftest import data_path
 
@@ -236,3 +237,20 @@ def test_solve_non_finite_rhs_exits_1_with_one_line(tmp_path, capsys):
     assert err.startswith("greedylsq: ") and err.count("\n") == 1
     assert "rhs" in err
 
+
+
+@pytest.mark.parametrize("command, options", [
+    ("info", []),
+    ("verify-bounds", []),
+    ("verify-bounds", ["--inconsistent"]),
+    ("solve", ["--inconsistent"]),
+])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_matrix_exits_1_with_one_line(tmp_path, capsys, command, options, bad):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"3 2 3\n1 1 1.0\n2 2 {bad}\n3 1 2.0\n")
+    code, _, err = run_cli(capsys, command, str(path), *options)
+    assert code == 1
+    assert err.startswith("greedylsq: ") and err.count("\n") == 1
+    assert "Gram matrix" in err

@@ -199,11 +199,104 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         load_matrix_market(data_path("badentry.mtx"))
     assert "line 4" in str(err.value)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         load_matrix_market(data_path("badcount.mtx"))
+    assert err.value.line_number == 4
     with pytest.raises(ParseError) as err:
         load_matrix_market(data_path("badindex.mtx"))
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line_number, message", [
+    # Comment and blank lines between entries count towards the line number.
+    ("coordinate real general\n2 2 2\n% c\n1 1 1.0\n\n   % indented\n2 x 5.0\n",
+     7, "bad entry '2 x 5.0'"),
+    ("coordinate real general\n2 2 2\n1 1 1.0\n\n2 3 5.0\n", 5, "index (2, 3) outside 2 x 2"),
+    ("coordinate real general\n2 2 2\n1 1 1.0\n0 1 5.0\n", 4, "index (0, 1) outside 2 x 2"),
+    ("coordinate real general\n2 2 1\n1.0 1 5.0\n", 3, "bad entry"),
+    ("coordinate real general\n2 2 1\n1e0 1 5.0\n", 3, "bad entry"),
+    ("coordinate real general\n2 2 2\n1 1 1.0 % note\n2 2 5.0\n", 3, "expected 3 fields, got 5"),
+    ("coordinate real general\n2 2 2\n1 1 1.0\n2 2\n", 4, "expected 3 fields, got 2"),
+    ("coordinate pattern general\n2 2 2\n1 1\n2 2 5.0\n", 4, "expected 2 fields, got 3"),
+    ("coordinate real general\n2 2 3\n1 1 1.0\n% c\n2 2 5.0\n", 5, "expected 3 entries, found 2"),
+    ("array real general\n2 1\n1.0\n\n2.0 3.0\n", 5, "expected one value per line"),
+    ("array real general\n2 1\n1.0\n% c\nnope\n", 5, "bad value 'nope'"),
+    ("array real symmetric\n2 2\n1.0\n2.0\n", 4, "expected 3 values, found 2"),
+])
+def test_parse_errors_name_the_line_past_comments(tmp_path, text, line_number, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix " + text)
+    with pytest.raises(ParseError) as err:
+        load_matrix_market(path)
+    assert err.value.line_number == line_number
+    assert message in str(err.value)
+
+
+def test_load_skips_comments_and_blanks_between_entries(tmp_path):
+    path = tmp_path / "commented.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n% head\n\n3 2 3\n"
+                    "1 1 1.5\n% between\n\n  \t\n 3 1 -2.0  \n   % indented\n2 2 4e-320\n")
+    M = load_matrix_market(path)
+    assert M.indptr.tolist() == [0, 2, 3]
+    assert M.indices.tolist() == [0, 2, 1]
+    assert M.data.tolist() == [1.5, -2.0, 4e-320]
+
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n% c\n\n0.0\n3.5\n\n4.0\n")
+    assert np.array_equal(load_matrix_market(path).toarray(), [[1.0, 3.5], [0.0, 4.0]])
+
+
+def test_load_accepts_what_python_parses(tmp_path):
+    # numpy's whole-body parser rejects underscores in numbers; the
+    # line-by-line rescan accepts them, as int() and float() do.
+    path = tmp_path / "underscores.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n20 2 2\n1_0 1 2_5.0\n2 2 +1\n")
+    M = load_matrix_market(path)
+    assert M.shape == (20, 2)
+    assert M[9, 0] == 25.0 and M[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("name, shape, indptr, indices, data", [
+    ("pattern.mtx", (3, 2), [0, 2, 3], [0, 2, 1], [1.0, 1.0, 1.0]),
+    ("symmetric.mtx", (3, 3), [0, 2, 4, 6], [0, 1, 0, 2, 1, 2], [2.0, 1.0, 1.0, -1.0, -1.0, 4.0]),
+    ("skew.mtx", (3, 3), [0, 2, 3, 4], [1, 2, 0, 0], [1.5, -2.0, -1.5, 2.0]),
+    ("array2x2.mtx", (2, 2), [0, 1, 3], [0, 0, 1], [1.0, 3.5, 4.0]),
+    ("array_symmetric.mtx", (2, 2), [0, 2, 4], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0]),
+])
+def test_load_fixtures_to_exact_csc(name, shape, indptr, indices, data):
+    M = load_matrix_market(data_path(name))
+    assert M.shape == shape
+    assert M.indptr.tolist() == indptr
+    assert M.indices.tolist() == indices
+    assert M.data.tolist() == data
+
+
+def test_save_matrix_market_exact_text(tmp_path):
+    # Duplicates (1.5 + 2.25 at (1, 1)) are summed; the smallest subnormal
+    # and 1e+-300 keep all 17 significant digits.
+    C = sparse.coo_array((np.array([1.5, -2.5, 5e-324, 1e300, 2.25, -1e-300]),
+                          (np.array([0, 2, 1, 0, 0, 2]), np.array([0, 0, 1, 2, 0, 2]))),
+                         shape=(3, 3))
+    path = tmp_path / "literal.mtx"
+    save_matrix_market(C, path, comment="literal check")
+    assert path.read_text() == (
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% literal check\n"
+        "3 3 5\n"
+        "1 1 3.75\n"
+        "3 1 -2.5\n"
+        "2 2 4.9406564584124654e-324\n"
+        "1 3 1.0000000000000001e+300\n"
+        "3 3 -1e-300\n"
+    )
+    save_matrix_market(np.array([[0.1, -3.0], [1e-310, 2.0 ** 60]]), path)
+    assert path.read_text() == (
+        "%%MatrixMarket matrix array real general\n"
+        "2 2\n"
+        "0.10000000000000001\n"
+        "9.9999999999999694e-311\n"
+        "-3\n"
+        "1.152921504606847e+18\n"
+    )
 
 
 def test_matrix_market_roundtrip_sparse(tmp_path):
