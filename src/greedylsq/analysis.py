@@ -32,6 +32,9 @@ from .validation import is_sparse
 # the recorded energy errors.
 RATIO_SLACK = 1e-9
 
+# Rank threshold of lambda_min_pos, relative to ||A||_F^2.
+LAMBDA_MIN_REL_TOLERANCE = 1e-10
+
 
 def gram_matrix(A):
     """Dense n x n Gram matrix A^T A."""
@@ -60,21 +63,22 @@ def jacobi_eigenvalues(G):
     return np.linalg.eigvalsh(G)
 
 
-def lambda_min_pos(A, tolerance=1e-10):
+def lambda_min_pos(A):
     """Smallest eigenvalue of A^T A via the explicit Gram matrix.
 
     Raises:
-        RankDeficient: if the estimate is at most ``tolerance`` times the
-            squared Frobenius norm of A, i.e. the matrix has no usable
-            smallest positive eigenvalue.
+        RankDeficient: if the estimate is at most LAMBDA_MIN_REL_TOLERANCE
+            times the squared Frobenius norm of A, i.e. the matrix has no
+            usable smallest positive eigenvalue.
     """
     G = gram_matrix(A)
     eigs = jacobi_eigenvalues(G)
     lam = float(eigs[0])
     frob_sq = float(np.trace(G))
-    if lam <= tolerance * frob_sq:
+    if lam <= LAMBDA_MIN_REL_TOLERANCE * frob_sq:
         raise RankDeficient(
-            f"smallest Gram eigenvalue {lam:.3e} is below {tolerance:.1e} * ||A||_F^2"
+            f"smallest Gram eigenvalue {lam:.3e} is below "
+            f"{LAMBDA_MIN_REL_TOLERANCE:.1e} * ||A||_F^2"
         )
     return lam
 

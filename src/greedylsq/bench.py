@@ -88,7 +88,9 @@ def run_experiment(spec):
     randomized methods are seeded with base seed + trial index.  Trials
     that hit the iteration cap are excluded from the averages with a
     warning.  Timing covers the solve only (column-norm precomputation
-    included, problem generation not).
+    included, problem generation not).  No untimed warmup solve runs,
+    so the first method of a trial also pays the first touch of the
+    fresh problem.
     """
     entry = spec.problem
     file_matrix = load_matrix_market(entry.path) if entry.kind == "file" else None
@@ -96,10 +98,6 @@ def run_experiment(spec):
 
     for t in range(spec.repeats):
         problem = build_trial_problem(entry, spec.base_seed, t, file_matrix)
-        # Untimed warmup: touches the fresh matrix and spins up the BLAS
-        # thread pool so the first timed method is not penalized.
-        solve(problem, SolverConfig(method=spec.methods[0], max_iterations=3,
-                                    res_tolerance=spec.res_tolerance, seed=spec.base_seed + t))
         for method in spec.methods:
             config = SolverConfig(
                 method=method,

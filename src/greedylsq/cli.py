@@ -54,7 +54,6 @@ def _add_solver_args(p):
     p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--tie-tol", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -93,7 +92,6 @@ def build_parser():
     p = sub.add_parser("verify-bounds", help="check a greedy run against its convergence theory")
     _add_matrix_args(p)
     _add_rhs_args(p, allow_file_rhs=False)
-    p.add_argument("--method", choices=["ggs"], default="ggs")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
@@ -149,7 +147,6 @@ def cmd_solve(args, parser):
         method=Method(args.method),
         max_iterations=args.max_iters,
         res_tolerance=args.tol,
-        tie_tolerance_rel=args.tie_tol,
         seed=args.seed,
         record_trace=args.trace is not None,
     )
@@ -237,10 +234,9 @@ def cmd_verify_bounds(args, parser):
         return EXIT_ERROR
 
     config = SolverConfig(
-        method=Method(args.method),
+        method=Method.GGS,
         max_iterations=args.max_iters,
         res_tolerance=args.tol,
-        seed=args.seed,
         record_trace=True,
     )
     report = solve(problem, config)

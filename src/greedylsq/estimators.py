@@ -19,12 +19,10 @@ class BaseCoordinateDescent:
 
     _method = None
 
-    def __init__(self, tol=1e-6, max_iter=200_000, tie_tol=1e-12, seed=0, record_trace=False):
+    def __init__(self, tol=1e-6, max_iter=200_000, seed=0):
         self.tol = tol
         self.max_iter = max_iter
-        self.tie_tol = tie_tol
         self.seed = seed
-        self.record_trace = record_trace
 
     def get_params(self, deep=True):
         names = [p for p in inspect.signature(type(self).__init__).parameters
@@ -44,9 +42,7 @@ class BaseCoordinateDescent:
             method=self._method,
             max_iterations=self.max_iter,
             res_tolerance=self.tol,
-            tie_tolerance_rel=self.tie_tol,
             seed=getattr(self, "seed", 0),
-            record_trace=self.record_trace,
         )
 
     def fit(self, X, y, x_true=None):
@@ -95,11 +91,9 @@ class GreedyGaussSeidel(BaseCoordinateDescent):
 
     _method = Method.GGS
 
-    def __init__(self, tol=1e-6, max_iter=200_000, tie_tol=1e-12, record_trace=False):
+    def __init__(self, tol=1e-6, max_iter=200_000):
         self.tol = tol
         self.max_iter = max_iter
-        self.tie_tol = tie_tol
-        self.record_trace = record_trace
 
 
 class RandomizedGreedyGaussSeidel(BaseCoordinateDescent):

@@ -35,7 +35,8 @@ class MissingEnergyError(GreedyLsqError):
 
 
 class RankDeficient(GreedyLsqError):
-    """The matrix does not have full column rank."""
+    """The matrix does not have full column rank, or a solve reached a
+    least-squares solution other than the known one it was given."""
 
 
 class NullSpaceEmpty(GreedyLsqError):

@@ -20,11 +20,6 @@ def column_norms_sq(A):
     return (A * A).sum(axis=0)
 
 
-def frobenius_norm_sq(A):
-    """Squared Frobenius norm, summed in the same order as column_norms_sq."""
-    return float(column_norms_sq(A).sum())
-
-
 def matvec(A, x):
     """A @ x."""
     x = as_vector(x, size=A.shape[1], name="x")

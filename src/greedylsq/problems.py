@@ -23,6 +23,9 @@ RHS_SEED_OFFSET = 0x9E3779B9
 
 _MAX_NULLSPACE_RETRIES = 50
 
+# Rank threshold of assert_full_column_rank on lambda_min / lambda_max.
+RANK_REL_TOLERANCE = 1e-12
+
 
 @dataclass
 class LsqProblem:
@@ -34,7 +37,6 @@ class LsqProblem:
     consistent: bool = False
     label: str = ""
     density: float = 1.0
-    condition_estimate: float | None = None
 
     def __post_init__(self):
         m = self.matrix.shape[0]
@@ -141,12 +143,12 @@ def reference_solution(problem):
     return x
 
 
-def assert_full_column_rank(A, rel_tolerance=1e-12):
+def assert_full_column_rank(A):
     """Return the Euclidean condition number, raising if rank-deficient.
 
     Both extreme eigenvalues of the Gram matrix come from the same
     eigenvalue routine used everywhere else; the matrix is declared
-    rank-deficient when the smallest is at most ``rel_tolerance`` times
+    rank-deficient when the smallest is at most RANK_REL_TOLERANCE times
     the largest.
 
     Raises:
@@ -154,9 +156,9 @@ def assert_full_column_rank(A, rel_tolerance=1e-12):
     """
     eigs = jacobi_eigenvalues(gram_matrix(A))
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min <= rel_tolerance * lam_max:
+    if lam_min <= RANK_REL_TOLERANCE * lam_max:
         raise RankDeficient(
-            f"Gram eigenvalue ratio {lam_min:.3e} / {lam_max:.3e} is below {rel_tolerance:.1e}"
+            f"Gram eigenvalue ratio {lam_min:.3e} / {lam_max:.3e} is below {RANK_REL_TOLERANCE:.1e}"
         )
     return float(np.sqrt(lam_max / lam_min))
 
@@ -335,7 +337,7 @@ def _expand_symmetry(rows, cols, vals, mm_symmetry, size_no):
     )
 
 
-def save_matrix_market(A, path, comment=None):
+def save_matrix_market(A, path):
     """Write a matrix back out: coordinate format for sparse storage,
     array format for dense.  Full float precision, so a load round-trips
     exactly."""
@@ -350,9 +352,8 @@ def save_matrix_market(A, path, comment=None):
     else:
         kind, size = "array", f"{A.shape[0]} {A.shape[1]}"
         body = "".join("%.17g\n" % v for v in np.asarray(A).ravel(order="F").tolist())
-    note = f"% {comment}\n" if comment else ""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"%%MatrixMarket matrix {kind} real general\n{note}{size}\n{body}")
+        fh.write(f"%%MatrixMarket matrix {kind} real general\n{size}\n{body}")
 
 
 def load_vector(path):

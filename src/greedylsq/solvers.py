@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .analysis import gram_matrix
-from .exceptions import AllZeroGradient, NonFiniteValue, ZeroColumn
+from .exceptions import AllZeroGradient, NonFiniteValue, RankDeficient, ZeroColumn
 from .linalg import (
     axpy_column,
     column_dot,
@@ -65,6 +65,10 @@ GRAM_BUDGET_BYTES = 32 * 2**20
 GRADIENT_FALL_REFRESH = 1e-4
 GRADIENT_ROUNDING_LEVEL = 1e-12
 
+# Gradient entries within this factor (relative) of the largest magnitude
+# count as tied for the greedy candidate set.
+TIE_TOLERANCE_REL = 1e-12
+
 
 class Method(Enum):
     GGS = "ggs"
@@ -87,6 +91,9 @@ class StopReason(Enum):
 class SolverConfig:
     """Knobs for a single solve.
 
+    Every solve starts from x = 0, and greedy ties are judged with the
+    constant TIE_TOLERANCE_REL.
+
     Args:
         method: which selection rule to run.
         max_iterations: hard cap on coordinate steps.
@@ -94,8 +101,6 @@ class SolverConfig:
             ||x - x_true||^2 / ||x_true||^2 drops to this value (when the
             true solution is known), or once ||A^T r||^2 falls to this
             fraction of ||A^T b||^2 (when it is not).
-        tie_tolerance_rel: relative slack for the argmax candidate set;
-            entries within this factor of the maximum count as tied.
         seed: PRNG seed, used by the randomized methods only.
         record_trace: keep a per-iteration record of the solve.
     """
@@ -103,7 +108,6 @@ class SolverConfig:
     method: Method = Method.GGS
     max_iterations: int = 200_000
     res_tolerance: float = 1e-6
-    tie_tolerance_rel: float = 1e-12
     seed: int = 0
     record_trace: bool = False
 
@@ -114,8 +118,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.res_tolerance <= 0.0:
             raise ValueError("res_tolerance must be positive")
-        if not 0.0 <= self.tie_tolerance_rel < 1.0:
-            raise ValueError("tie_tolerance_rel must lie in [0, 1)")
 
 
 @dataclass
@@ -261,16 +263,16 @@ def step(x, r, A, j, col_norm_sq_j):
 
 
 # The selection rule of each method, called as rule(s, col_norms_sq,
-# frob_sq, tie_tolerance_rel, rng) and returning (chosen index, member
-# index array, grcd threshold or None).  Each entry looks its select
-# function up by module attribute at call time, so a wrapper installed
-# there (perfbench's tracer) sees every call.
+# frob_sq, rng) and returning (chosen index, member index array, grcd
+# threshold or None).  Each entry looks its select function up by module
+# attribute at call time, so a wrapper installed there (perfbench's
+# tracer) sees every call.
 _SELECT = {
-    Method.GGS: lambda s, norms, frob_sq, tie, rng: (*ggs_select(s, norms, tie), None),
-    Method.GGS_RANDOMIZED: lambda s, norms, frob_sq, tie, rng: (
-        *ggs_randomized_select(s, norms, tie, rng), None),
-    Method.GRCD: lambda s, norms, frob_sq, tie, rng: grcd_select(s, norms, frob_sq, rng),
-    Method.RGS: lambda s, norms, frob_sq, tie, rng: (
+    Method.GGS: lambda s, norms, frob_sq, rng: (*ggs_select(s, norms, TIE_TOLERANCE_REL), None),
+    Method.GGS_RANDOMIZED: lambda s, norms, frob_sq, rng: (
+        *ggs_randomized_select(s, norms, TIE_TOLERANCE_REL, rng), None),
+    Method.GRCD: lambda s, norms, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
+    Method.RGS: lambda s, norms, frob_sq, rng: (
         (j := rgs_select(norms, frob_sq, rng)), [j], None),
 }
 
@@ -294,18 +296,17 @@ def _residual_drift(A, x, b, r, b_norm):
     return fresh, drift / b_norm if b_norm > 0.0 else drift
 
 
-def solve(problem, config, x0=None):
+def solve(problem, config):
     """Run the configured method on a least-squares problem.
 
-    Starts from the zero vector unless ``x0`` is given.  Stops when the
-    squared relative solution error reaches ``res_tolerance`` (known
-    solution), when the squared gradient norm falls to ``res_tolerance``
-    times its initial value (unknown solution), or at the iteration cap.
+    Starts from x = 0, so r = b.  Stops when the squared relative solution
+    error reaches ``res_tolerance`` (known solution), when the squared
+    gradient norm falls to ``res_tolerance`` times its initial value
+    (unknown solution), or at the iteration cap.
 
     Args:
         problem: an LsqProblem (matrix, rhs, optional known solution).
         config: a SolverConfig.
-        x0: optional warm start; the benchmark protocol never passes one.
 
     Returns:
         SolveReport with the solution, iteration count, stop reason,
@@ -315,6 +316,11 @@ def solve(problem, config, x0=None):
         NonFiniteValue: if A (through its squared column norms), b or
             ||A^T b||^2 is not finite, or the stop measure stops being
             finite during the run.
+        RankDeficient: if, with a known solution, the gradient A^T r
+            becomes exactly zero while the relative solution error is
+            still above ``res_tolerance``: the iterate then solves the
+            normal equation, so the known solution is not the only
+            least-squares solution and cannot be reached.
     """
     A = problem.matrix
     m, n = A.shape
@@ -339,12 +345,8 @@ def solve(problem, config, x0=None):
     if not np.isfinite(b).all():
         raise NonFiniteValue("the rhs has a NaN or infinite entry")
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = as_vector(x0, size=n, name="x0").copy()
-        r = b - matvec(A, x)
+    x = np.zeros(n)
+    r = b.copy()
     b_norm = float(np.linalg.norm(b))
 
     x_star_norm_sq = float(np.dot(x_star, x_star)) if x_star is not None else 0.0
@@ -357,8 +359,7 @@ def solve(problem, config, x0=None):
     s = transpose_matvec(A, r) if need_gradient else None
     grad0_sq = None
     if not use_res_stop:
-        s0 = s if x0 is None else transpose_matvec(A, b)
-        grad0_sq = float(np.dot(s0, s0))
+        grad0_sq = float(np.dot(s, s))
         if not math.isfinite(grad0_sq):
             raise NonFiniteValue(f"||A^T b||^2 is {grad0_sq}, not finite")
     G = None
@@ -420,13 +421,17 @@ def solve(problem, config, x0=None):
             stop_reason = StopReason.ITERATION_CAP
             break
         try:
-            j, members, threshold = select(s, col_norms, frob_sq, config.tie_tolerance_rel, rng)
+            j, members, threshold = select(s, col_norms, frob_sq, rng)
         except AllZeroGradient:
             if stale:
                 refresh = True
                 continue
-            stop_reason = StopReason.GRADIENT_REACHED
-            break
+            # In gradient-stop mode a fresh zero gradient has already met
+            # the stop rule, so this is res-stop mode with res above tol.
+            raise RankDeficient(
+                f"the gradient A^T r is exactly zero at iteration {k} with res = {res:.3e}, "
+                f"above the tolerance {tol:.1e}: the iterate solves the normal equation, so "
+                "the known solution is not the only least-squares solution") from None
 
         if record:
             trace.append(StepRecord(

@@ -151,6 +151,26 @@ def test_verify_bounds_rank_deficient(capsys):
     assert "eigenvalue" in err.lower() or "rank" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--random", "20", "4", "1", "--consistent", "--tie-tol", "1e-9"],
+    ["verify-bounds", "--random", "20", "4", "1", "--method", "ggs"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_solve_rank_deficient_known_solution_exits_1(capsys):
+    # rankdef2col's columns are equal, so x_true is one of many solutions.
+    code, out, err = run_cli(capsys, "solve", data_path("rankdef2col.mtx"), "--consistent")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("greedylsq: ") and err.count("\n") == 1
+    assert "not the only least-squares solution" in err
+
+
 def test_verify_bounds_csv_row(tmp_path, capsys):
     csv_path = tmp_path / "bounds.csv"
     code, _, _ = run_cli(capsys, "verify-bounds", "--random", "60", "6", "2",

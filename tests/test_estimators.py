@@ -69,6 +69,12 @@ def test_get_set_params_roundtrip(cls):
         est.set_params(bogus=1)
 
 
+@pytest.mark.parametrize("cls", ALL_ESTIMATORS)
+def test_get_params_lists_exactly_the_remaining_keys(cls):
+    keys = {"tol", "max_iter"} if cls is GreedyGaussSeidel else {"tol", "max_iter", "seed"}
+    assert set(cls().get_params()) == keys
+
+
 def test_randomized_estimators_are_seed_reproducible():
     A = gen_gaussian(120, 10, seed=20)
     problem = make_consistent(A, seed=21)

@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 from conftest import data_path
 
 from greedylsq.exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
-from greedylsq.linalg import frobenius_norm_sq, matvec, transpose_matvec
+from greedylsq.linalg import column_norms_sq, matvec, transpose_matvec
 from greedylsq.problems import (
     LsqProblem,
     assert_full_column_rank,
@@ -70,7 +70,7 @@ def test_make_inconsistent_null_space_component():
     problem = make_inconsistent(A, seed=22)
     r0 = problem.rhs - matvec(A, problem.known_solution)
     assert np.linalg.norm(r0) > 0.0
-    bound = 1e-10 * np.sqrt(frobenius_norm_sq(A)) * np.linalg.norm(r0)
+    bound = 1e-10 * np.sqrt(column_norms_sq(A).sum()) * np.linalg.norm(r0)
     assert np.linalg.norm(transpose_matvec(A, r0)) <= bound
     assert not problem.consistent
 
@@ -270,6 +270,11 @@ def test_load_fixtures_to_exact_csc(name, shape, indptr, indices, data):
     assert M.data.tolist() == data
 
 
+def test_save_matrix_market_takes_no_comment(tmp_path):
+    with pytest.raises(TypeError):
+        save_matrix_market(np.eye(2), tmp_path / "m.mtx", comment="note")
+
+
 def test_save_matrix_market_exact_text(tmp_path):
     # Duplicates (1.5 + 2.25 at (1, 1)) are summed; the smallest subnormal
     # and 1e+-300 keep all 17 significant digits.
@@ -277,10 +282,9 @@ def test_save_matrix_market_exact_text(tmp_path):
                           (np.array([0, 2, 1, 0, 0, 2]), np.array([0, 0, 1, 2, 0, 2]))),
                          shape=(3, 3))
     path = tmp_path / "literal.mtx"
-    save_matrix_market(C, path, comment="literal check")
+    save_matrix_market(C, path)
     assert path.read_text() == (
         "%%MatrixMarket matrix coordinate real general\n"
-        "% literal check\n"
         "3 3 5\n"
         "1 1 3.75\n"
         "3 1 -2.5\n"

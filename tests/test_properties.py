@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from greedylsq.exceptions import GreedyLsqError, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem
-from greedylsq.solvers import Method, SolverConfig, solve, step
+from greedylsq.solvers import Method, SolverConfig, StopReason, solve, step
 
 # Fewer steps than a drift checkpoint, so replaying the chosen columns
 # from zero reproduces the solver's residual exactly.
@@ -42,13 +43,26 @@ def _config(method, seed=0, record_trace=True):
                         max_iterations=MAX_STEPS, res_tolerance=1e-10)
 
 
+def _solve(A, b, x_true, config):
+    """The solve's report, or None if it raised RankDeficient, which only
+    a rank-deficient A may do: its x_true is then one of many solutions."""
+    try:
+        return solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), config)
+    except RankDeficient:
+        dense = A.toarray() if sparse.issparse(A) else A
+        assert np.linalg.matrix_rank(dense) < A.shape[1]
+        return None
+
+
 @PROPERTY_SETTINGS
 @given(problems(), st.sampled_from(list(Method)), st.integers(0, 1000))
 def test_dense_and_csc_storage_give_the_same_trace(prob, method, seed):
     A, b, x_true = prob
-    dense = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), _config(method, seed))
-    csc = solve(LsqProblem(matrix=sparse.csc_array(A), rhs=b, known_solution=x_true),
-                _config(method, seed))
+    dense = _solve(A, b, x_true, _config(method, seed))
+    csc = _solve(sparse.csc_array(A), b, x_true, _config(method, seed))
+    assert (dense is None) == (csc is None)
+    if dense is None:
+        return
     assert (dense.iterations, dense.stop_reason) == (csc.iterations, csc.stop_reason)
     assert len(dense.trace) == len(csc.trace)
     # Selections match exactly.  The two storage forms sum products in
@@ -75,7 +89,9 @@ def test_dense_and_csc_storage_give_the_same_trace(prob, method, seed):
 def test_residual_is_orthogonal_to_the_stepped_column(prob, method, use_csc):
     A, b, x_true = prob
     M = sparse.csc_array(A) if use_csc else A
-    report = solve(LsqProblem(matrix=M, rhs=b, known_solution=x_true), _config(method))
+    report = _solve(M, b, x_true, _config(method))
+    if report is None:
+        return
     norms = column_norms_sq(M)
     x, r = np.zeros(A.shape[1]), b.copy()
     for rec in report.trace[:-1]:
@@ -94,7 +110,45 @@ def test_ggs_energy_error_never_increases(prob):
     A, b, x_true = prob
     if x_true is None:
         x_true = np.linalg.lstsq(A, b, rcond=None)[0]
-    report = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), _config(Method.GGS))
+    report = _solve(A, b, x_true, _config(Method.GGS))
+    if report is None:
+        return
     energy = [rec.energy_error_sq for rec in report.trace]
     slack = 1e-12 * energy[0]
     assert all(nxt <= cur + slack for cur, nxt in zip(energy, energy[1:]))
+
+
+@st.composite
+def degenerate_problems(draw):
+    """A zero column, a duplicated column, or fewer rows than columns."""
+    kind = draw(st.sampled_from(["zero column", "duplicate column", "m < n"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "m < n":
+        m = draw(st.integers(1, 5))
+        n = draw(st.integers(m + 1, 6))
+    else:
+        m = draw(st.integers(3, 12))
+        n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    j, k = rng.choice(n, size=2, replace=False)
+    if kind == "zero column":
+        A[:, j] = 0.0
+    elif kind == "duplicate column":
+        A[:, j] = A[:, k]
+    x_true = rng.standard_normal(n) if draw(st.booleans()) else None
+    b = A @ x_true if x_true is not None else rng.standard_normal(m)
+    return np.asfortranarray(A), b, x_true
+
+
+@PROPERTY_SETTINGS
+@given(degenerate_problems(), st.sampled_from(list(Method)), st.integers(0, 1000))
+def test_degenerate_input_never_claims_false_convergence(prob, method, seed):
+    A, b, x_true = prob
+    config = SolverConfig(method=method, seed=seed, max_iterations=2_000, res_tolerance=1e-10)
+    try:
+        report = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), config)
+    except GreedyLsqError:
+        return
+    if report.stop_reason is not StopReason.ITERATION_CAP:
+        assert report.final_res <= config.res_tolerance

@@ -3,7 +3,13 @@ import pytest
 from scipy import sparse
 
 from greedylsq import solvers
-from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, NonFiniteValue, ZeroColumn
+from greedylsq.exceptions import (
+    AllZeroGradient,
+    GreedyLsqError,
+    NonFiniteValue,
+    RankDeficient,
+    ZeroColumn,
+)
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, gen_gaussian, make_consistent, make_inconsistent
 from greedylsq.solvers import (
@@ -247,14 +253,6 @@ def test_solve_table_scale_iteration_count():
     assert 100 <= report.iterations <= 160
 
 
-def test_solve_warm_start_accepted():
-    problem = worked_problem()
-    report = solve(problem, SolverConfig(method=Method.GGS),
-                   x0=np.array([1.0, 0.999999]))
-    assert report.stop_reason is StopReason.RES_REACHED
-    assert report.iterations <= 1
-
-
 def test_every_step_orthogonal_to_its_column():
     # Replay the recorded choices and check the update-rule orthogonality.
     A = gen_gaussian(200, 20, seed=12)
@@ -374,13 +372,29 @@ def test_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(res_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tie_tolerance_rel=1.0)
     assert SolverConfig(method="grcd").method is Method.GRCD
     defaults = SolverConfig()
     assert defaults.max_iterations == 200_000
     assert defaults.res_tolerance == 1e-6
-    assert defaults.tie_tolerance_rel == 1e-12
+
+
+def test_removed_options_are_rejected():
+    with pytest.raises(TypeError):
+        SolverConfig(tie_tolerance_rel=1e-9)
+    with pytest.raises(TypeError):
+        solve(worked_problem(), SolverConfig(), x0=np.zeros(2))
+
+
+@pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED])
+def test_zero_gradient_short_of_the_known_solution_raises(method):
+    # Column 1 is zero, so x_true[1] is out of reach: one step on column 0
+    # leaves r = 0 exactly, with res = 1/2 far above the tolerance.
+    A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]], order="F")
+    problem = LsqProblem(matrix=A, rhs=np.array([1.0, 2.0, 0.0]),
+                         known_solution=np.array([1.0, 1.0]))
+    with pytest.raises(RankDeficient, match=r"iteration 1 with res = 5\.000e-01, .*"
+                       r"the known solution is not the only least-squares solution"):
+        solve(problem, SolverConfig(method=method))
 
 
 def test_short_run_reports_its_drift():
