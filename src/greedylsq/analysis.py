@@ -32,8 +32,9 @@ from .validation import is_sparse
 # the recorded energy errors.
 RATIO_SLACK = 1e-9
 
-# Rank threshold of lambda_min_pos, relative to ||A||_F^2.
-LAMBDA_MIN_REL_TOLERANCE = 1e-10
+# A is declared rank-deficient when the smallest Gram eigenvalue is at
+# most this fraction of the largest.
+RANK_REL_TOLERANCE = 1e-12
 
 
 def gram_matrix(A):
@@ -63,24 +64,28 @@ def jacobi_eigenvalues(G):
     return np.linalg.eigvalsh(G)
 
 
-def lambda_min_pos(A):
-    """Smallest eigenvalue of A^T A via the explicit Gram matrix.
+def gram_extreme_eigenvalues(A):
+    """(lambda_min, lambda_max) of the Gram matrix A^T A, from one call of
+    the eigenvalue routine.  This is the package's one rank test.
 
     Raises:
-        RankDeficient: if the estimate is at most LAMBDA_MIN_REL_TOLERANCE
-            times the squared Frobenius norm of A, i.e. the matrix has no
-            usable smallest positive eigenvalue.
+        RankDeficient: if lambda_min <= RANK_REL_TOLERANCE * lambda_max,
+            a rule that does not depend on the scale of A.
+        NonFiniteValue: if the Gram matrix has a NaN or infinite entry.
     """
-    G = gram_matrix(A)
-    eigs = jacobi_eigenvalues(G)
-    lam = float(eigs[0])
-    frob_sq = float(np.trace(G))
-    if lam <= LAMBDA_MIN_REL_TOLERANCE * frob_sq:
+    eigs = jacobi_eigenvalues(gram_matrix(A))
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    if lam_min <= RANK_REL_TOLERANCE * lam_max:
         raise RankDeficient(
-            f"smallest Gram eigenvalue {lam:.3e} is below "
-            f"{LAMBDA_MIN_REL_TOLERANCE:.1e} * ||A||_F^2"
+            f"Gram eigenvalue ratio {lam_min:.3e} / {lam_max:.3e} is below {RANK_REL_TOLERANCE:.1e}"
         )
-    return lam
+    return lam_min, lam_max
+
+
+def lambda_min_pos(A):
+    """Smallest eigenvalue of A^T A, raising RankDeficient by the rank
+    test of gram_extreme_eigenvalues."""
+    return gram_extreme_eigenvalues(A)[0]
 
 
 def _check_factor(f, allow_zero=True):

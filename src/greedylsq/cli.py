@@ -44,6 +44,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _checked(kind, ok, rule):
+    """argparse type: parse with ``kind``, then require ``ok(value)``."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_TOL = _checked(float, lambda v: v > 0.0, "must be positive")
+
+
+def _method_list(text):
+    """argparse type: a comma-separated, nonempty list of method names."""
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    known = [m.value for m in Method]
+    unknown = [name for name in names if name not in known]
+    if not names or unknown:
+        raise argparse.ArgumentTypeError(
+            f"want a comma-separated list of {', '.join(known)}, got {text!r}")
+    return [Method(name) for name in names]
+
+
 def _add_matrix_args(p):
     p.add_argument("matrix", nargs="?", help="MatrixMarket file")
     p.add_argument("--random", nargs=3, type=int, metavar=("M", "N", "SEED"),
@@ -52,8 +78,8 @@ def _add_matrix_args(p):
 
 def _add_solver_args(p):
     p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200_000)
+    p.add_argument("--tol", type=_TOL, default=1e-6)
+    p.add_argument("--max-iters", type=_COUNT, default=200_000)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -80,20 +106,20 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")
-    p.add_argument("--repeats", type=int, default=50)
+    p.add_argument("--repeats", type=_COUNT, default=50)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=".", help="output directory for tables and curves")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p.add_argument("--methods", default="ggs,grcd",
+    p.add_argument("--methods", type=_method_list, default="ggs,grcd",
                    help="comma-separated methods to compare")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200_000)
+    p.add_argument("--tol", type=_TOL, default=1e-6)
+    p.add_argument("--max-iters", type=_COUNT, default=200_000)
 
     p = sub.add_parser("verify-bounds", help="check a greedy run against its convergence theory")
     _add_matrix_args(p)
     _add_rhs_args(p, allow_file_rhs=False)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200_000)
+    p.add_argument("--tol", type=_TOL, default=1e-6)
+    p.add_argument("--max-iters", type=_COUNT, default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH", help="write the full text report here")
     p.add_argument("--csv", metavar="PATH", help="append a machine-readable summary row here")
@@ -112,12 +138,18 @@ def build_parser():
     return parser
 
 
+def _random_matrix(args, parser):
+    m, n, seed = args.random
+    if not m >= n >= 1 or seed < 0:
+        parser.error(f"--random needs M >= N >= 1 and SEED >= 0, got {m} {n} {seed}")
+    return gen_gaussian(m, n, seed), f"random {m}x{n} seed {seed}"
+
+
 def _load_cli_matrix(args, parser):
     if args.random is not None and args.matrix is not None:
         parser.error("give either a matrix file or --random, not both")
     if args.random is not None:
-        m, n, seed = args.random
-        return gen_gaussian(m, n, seed), f"random {m}x{n} seed {seed}"
+        return _random_matrix(args, parser)
     if args.matrix is None:
         parser.error("a matrix file or --random is required")
     if not os.path.exists(args.matrix):
@@ -171,7 +203,6 @@ def cmd_bench(args, parser):
         print(f"greedylsq: manifest not found: {args.manifest}", file=sys.stderr)
         raise SystemExit(EXIT_NOINPUT)
     entries = load_manifest(args.manifest)
-    methods = [Method(tok.strip()) for tok in args.methods.split(",") if tok.strip()]
     os.makedirs(args.out, exist_ok=True)
 
     results = []
@@ -179,7 +210,7 @@ def cmd_bench(args, parser):
     for entry in entries:
         spec = ExperimentSpec(
             problem=entry,
-            methods=methods,
+            methods=args.methods,
             repeats=args.repeats,
             base_seed=entry.seed if entry.seed is not None else args.seed,
             res_tolerance=args.tol,
@@ -275,8 +306,7 @@ def cmd_verify_bounds(args, parser):
 
 
 def cmd_gen(args, parser):
-    m, n, seed = args.random
-    A = gen_gaussian(m, n, seed)
+    A, _ = _random_matrix(args, parser)
     make = make_consistent if args.consistent else make_inconsistent
     problem = make(A, args.seed + RHS_SEED_OFFSET)
     os.makedirs(args.out, exist_ok=True)

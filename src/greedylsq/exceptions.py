@@ -35,12 +35,12 @@ class MissingEnergyError(GreedyLsqError):
 
 
 class RankDeficient(GreedyLsqError):
-    """The matrix does not have full column rank, or a solve reached a
-    least-squares solution other than the known one it was given."""
+    """The matrix lacks full column rank, or a solve cannot reach its known
+    solution: part of it lies on zero columns, or another one was reached."""
 
 
 class NullSpaceEmpty(GreedyLsqError):
-    """No nonzero vector orthogonal to the column space could be produced."""
+    """No nonzero vector is orthogonal to the column space (m <= n)."""
 
 
 class UnsupportedField(GreedyLsqError):

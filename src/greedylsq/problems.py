@@ -12,7 +12,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
-from .analysis import gram_matrix, jacobi_eigenvalues
+from .analysis import gram_extreme_eigenvalues, gram_matrix
 from .exceptions import NonFiniteValue, NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from .linalg import matvec, transpose_matvec
 from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
@@ -20,11 +20,6 @@ from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
 # Added to a base seed to draw right-hand sides from a stream independent
 # of the matrix stream (seed sequences hash, so any fixed offset works).
 RHS_SEED_OFFSET = 0x9E3779B9
-
-_MAX_NULLSPACE_RETRIES = 50
-
-# Rank threshold of assert_full_column_rank on lambda_min / lambda_max.
-RANK_REL_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -83,12 +78,13 @@ def make_inconsistent(A, seed, label=""):
     """Problem with rhs = A @ x_true + r0, r0 a nonzero vector with A^T r0 = 0.
 
     r0 is the component of a random vector orthogonal to the column
-    space, obtained by a Gram-matrix projection; x_true stays the unique
+    space, obtained by one Gram-matrix projection; x_true stays the unique
     least-squares solution.
 
     Raises:
-        NullSpaceEmpty: if no nonzero orthogonal component can be found
-            (square invertible matrix).
+        RankDeficient: if the Gram matrix has no Cholesky factor.
+        NullSpaceEmpty: if m <= n: a matrix of full column rank then spans
+            all of R^m, so no nonzero r0 exists.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -96,16 +92,10 @@ def make_inconsistent(A, seed, label=""):
     x_true = rng.standard_normal(n)
 
     gram, lower = _gram_factor(A)
-    r0 = None
-    for _ in range(_MAX_NULLSPACE_RETRIES):
-        z = rng.standard_normal(m)
-        w = cho_solve((gram, lower), transpose_matvec(A, z))
-        candidate = z - matvec(A, w)
-        if np.linalg.norm(candidate) > 1e-8 * np.linalg.norm(z):
-            r0 = candidate
-            break
-    if r0 is None:
-        raise NullSpaceEmpty(f"A^T has no usable null space for a {m} x {n} matrix")
+    if m <= n:
+        raise NullSpaceEmpty(f"A^T has no null space for a {m} x {n} matrix")
+    z = rng.standard_normal(m)
+    r0 = z - matvec(A, cho_solve((gram, lower), transpose_matvec(A, z)))
 
     return LsqProblem(
         matrix=A,
@@ -144,22 +134,9 @@ def reference_solution(problem):
 
 
 def assert_full_column_rank(A):
-    """Return the Euclidean condition number, raising if rank-deficient.
-
-    Both extreme eigenvalues of the Gram matrix come from the same
-    eigenvalue routine used everywhere else; the matrix is declared
-    rank-deficient when the smallest is at most RANK_REL_TOLERANCE times
-    the largest.
-
-    Raises:
-        NonFiniteValue: if the Gram matrix has a NaN or infinite entry.
-    """
-    eigs = jacobi_eigenvalues(gram_matrix(A))
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min <= RANK_REL_TOLERANCE * lam_max:
-        raise RankDeficient(
-            f"Gram eigenvalue ratio {lam_min:.3e} / {lam_max:.3e} is below {RANK_REL_TOLERANCE:.1e}"
-        )
+    """Return the Euclidean condition number sqrt(lambda_max / lambda_min),
+    raising RankDeficient or NonFiniteValue as gram_extreme_eigenvalues does."""
+    lam_min, lam_max = gram_extreme_eigenvalues(A)
     return float(np.sqrt(lam_max / lam_min))
 
 
@@ -433,6 +410,8 @@ def load_manifest(path):
                     entry.rows, entry.cols = int(dims[0]), int(dims[1])
                 except ValueError:
                     raise ParseError(f"bad random spec {matrix_spec!r}", no) from None
+                if not entry.rows >= entry.cols >= 1:
+                    raise ParseError(f"random spec {matrix_spec!r} needs M >= N >= 1", no)
                 entry.kind = "random"
             elif matrix_spec.startswith("file:"):
                 entry.kind = "file"

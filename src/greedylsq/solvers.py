@@ -208,21 +208,22 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     the working column is sampled with probability proportional to its
     squared gradient entry.  All of these are invariant to the scale of s,
     so they are computed from s scaled to a largest magnitude near 1.
+    A zero column has ratio 0 and is never a member.
 
     Returns:
         (chosen index, member index array, threshold).
     """
-    if np.any(col_norms_sq <= 0.0):
-        raise ZeroColumn("all columns must have positive norm")
     t = _unit_scaled(s, np.abs(s).max())
     sq = t * t
     s_norm_sq = float(sq.sum())
     if s_norm_sq == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
-    ratios = sq / col_norms_sq
+    live = col_norms_sq > 0.0
+    ratios = np.divide(sq, col_norms_sq, out=np.zeros_like(sq), where=live)
     best = int(np.argmax(ratios))
     threshold = 0.5 * (ratios[best] / s_norm_sq + 1.0 / frob_sq)
     mask = sq >= threshold * s_norm_sq * col_norms_sq
+    mask &= live
     # The maximizing column always qualifies mathematically; force it in
     # so borderline rounding cannot leave the set empty.
     mask[best] = True
@@ -316,11 +317,13 @@ def solve(problem, config):
         NonFiniteValue: if A (through its squared column norms), b or
             ||A^T b||^2 is not finite, or the stop measure stops being
             finite during the run.
-        RankDeficient: if, with a known solution, the gradient A^T r
-            becomes exactly zero while the relative solution error is
-            still above ``res_tolerance``: the iterate then solves the
-            normal equation, so the known solution is not the only
-            least-squares solution and cannot be reached.
+        RankDeficient: with a known solution, in two cases where it is
+            not the only least-squares solution and cannot be reached.
+            Before the first step, if A has zero columns and the known
+            solution's share on them, ||x*[zero]||^2 / ||x*||^2, is above
+            ``res_tolerance``: no method ever moves x off 0 there, so res
+            cannot fall below that share.  During the run, if the gradient
+            A^T r becomes exactly zero while res is above the tolerance.
     """
     A = problem.matrix
     m, n = A.shape
@@ -351,6 +354,14 @@ def solve(problem, config):
 
     x_star_norm_sq = float(np.dot(x_star, x_star)) if x_star is not None else 0.0
     use_res_stop = x_star is not None and x_star_norm_sq > 0.0
+    if use_res_stop:
+        unreachable = x_star[col_norms == 0.0]
+        res_floor = float(np.dot(unreachable, unreachable)) / x_star_norm_sq
+        if res_floor > tol:
+            raise RankDeficient(
+                f"res cannot fall below {res_floor:.3e} at iteration 0, above the tolerance "
+                f"{tol:.1e}: no step moves x on the {unreachable.size} zero column(s), so "
+                "the known solution is not the only least-squares solution")
     # The gradient is needed for selection by every method except rgs,
     # and for the trace and the gradient stopping rule regardless of method.
     need_gradient = method is not Method.RGS or record or not use_res_stop

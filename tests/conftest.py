@@ -2,7 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import sparse
+
+# Property-test depth: 40 examples per test by default, 1,500 with
+# ``pytest --hypothesis-profile=thorough``.
+settings.register_profile("default", max_examples=40)
+settings.register_profile("thorough", max_examples=1_500)
+settings.load_profile("default")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

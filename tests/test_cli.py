@@ -6,6 +6,7 @@ import pytest
 from conftest import data_path
 
 from greedylsq.cli import main
+from greedylsq.problems import save_matrix_market
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,22 @@ def test_verify_bounds_worked_fixture(tmp_path, capsys):
     assert "k=0 factor=8.750000000000e-01" in text
 
 
+def test_info_and_verify_bounds_give_one_rank_verdict(tmp_path, capsys):
+    # cond(A) = 10^5.5, so lambda_min / lambda_max = 1e-11 clears the
+    # rank threshold of 1e-12 for both commands.
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((200, 10)))[0]
+    V = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    path = str(tmp_path / "cond.mtx")
+    save_matrix_market((U * np.logspace(0, -5.5, 10)) @ V.T, path)
+    code, out, _ = run_cli(capsys, "info", path)
+    assert code == 0
+    assert "cond: 316227.5710" in out
+    code, out, _ = run_cli(capsys, "verify-bounds", path, "--consistent", "--max-iters", "20")
+    assert code == 0
+    assert "lambda_min: 1.0000" in out
+
+
 def test_verify_bounds_rank_deficient(capsys):
     code, _, err = run_cli(capsys, "verify-bounds", data_path("rankdef2col.mtx"),
                            "--consistent")
@@ -160,6 +177,35 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert code == 64
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--random", "3", "5", "1", "--consistent"],
+    ["gen", "--random", "3", "5", "1", "--consistent", "--out", "{tmp}"],
+    ["solve", "--random", "20", "4", "1", "--consistent", "--max-iters", "0"],
+    ["solve", "--random", "20", "4", "1", "--consistent", "--tol", "-1"],
+    ["bench", "{manifest}", "--repeats", "0"],
+    ["bench", "{manifest}", "--methods", "ggs,foo"],
+    ["bench", "{manifest}", "--methods", ","],
+])
+def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("row random:40x4 consistent\n")
+    argv = [a.format(tmp=tmp_path / "gen", manifest=manifest) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+
+
+def test_bench_manifest_with_m_below_n_names_its_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# wide\nrow random:3x5 consistent\n")
+    code, out, err = run_cli(capsys, "bench", str(manifest), "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == "greedylsq: line 2: random spec 'random:3x5' needs M >= N >= 1\n"
 
 
 def test_solve_rank_deficient_known_solution_exits_1(capsys):

@@ -18,7 +18,9 @@ from greedylsq.solvers import Method, SolverConfig, StopReason, solve, step
 # from zero reproduces the solver's residual exactly.
 MAX_STEPS = 500
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# The number of examples comes from the loaded hypothesis profile
+# (tests/conftest.py): 40 by default, 1,500 under --hypothesis-profile=thorough.
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -100,7 +102,11 @@ def test_residual_is_orthogonal_to_the_stepped_column(prob, method, use_csc):
         # m < n drive the residual far below 1e-154.
         r_bound = np.sqrt(len(r)) * np.abs(r).max()
         step(x, r, M, j, norms[j])
-        assert abs(column_dot(M, j, r)) <= 1e-12 * np.sqrt(norms[j]) * r_bound
+        # Once r is subnormal it carries fewer significant bits, so the
+        # relative bound gets an absolute floor of subnormal rounding.
+        col_norm = np.sqrt(norms[j])
+        floor = 8 * len(r) * (1.0 + col_norm) * np.finfo(float).smallest_subnormal
+        assert abs(column_dot(M, j, r)) <= 1e-12 * col_norm * r_bound + floor
     np.testing.assert_array_equal(x, report.solution)
 
 
@@ -142,13 +148,21 @@ def degenerate_problems(draw):
 
 
 @PROPERTY_SETTINGS
-@given(degenerate_problems(), st.sampled_from(list(Method)), st.integers(0, 1000))
-def test_degenerate_input_never_claims_false_convergence(prob, method, seed):
+@given(degenerate_problems(), st.integers(0, 1000))
+def test_degenerate_input_never_claims_false_convergence(prob, seed):
+    """No method claims a convergence it did not reach, and on a zero
+    column all four either raise the same error or all run."""
     A, b, x_true = prob
-    config = SolverConfig(method=method, seed=seed, max_iterations=2_000, res_tolerance=1e-10)
-    try:
-        report = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), config)
-    except GreedyLsqError:
-        return
-    if report.stop_reason is not StopReason.ITERATION_CAP:
-        assert report.final_res <= config.res_tolerance
+    outcomes = set()
+    for method in Method:
+        config = SolverConfig(method=method, seed=seed, max_iterations=2_000, res_tolerance=1e-10)
+        try:
+            report = solve(LsqProblem(matrix=A, rhs=b, known_solution=x_true), config)
+        except GreedyLsqError as exc:
+            outcomes.add(type(exc))
+            continue
+        outcomes.add(None)
+        if report.stop_reason is not StopReason.ITERATION_CAP:
+            assert report.final_res <= config.res_tolerance
+    if not A.any(axis=0).all():
+        assert len(outcomes) == 1, outcomes

@@ -387,14 +387,68 @@ def test_removed_options_are_rejected():
 
 @pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED])
 def test_zero_gradient_short_of_the_known_solution_raises(method):
-    # Column 1 is zero, so x_true[1] is out of reach: one step on column 0
-    # leaves r = 0 exactly, with res = 1/2 far above the tolerance.
-    A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]], order="F")
+    # Column 1 is twice column 0, so x_true is one of many solutions.  The
+    # greedy rules step on column 1, the larger gradient entry, which
+    # leaves r = 0 exactly at x = [0, 0.5], with res = 1.25.
+    A = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]], order="F")
     problem = LsqProblem(matrix=A, rhs=np.array([1.0, 2.0, 0.0]),
-                         known_solution=np.array([1.0, 1.0]))
-    with pytest.raises(RankDeficient, match=r"iteration 1 with res = 5\.000e-01, .*"
+                         known_solution=np.array([1.0, 0.0]))
+    with pytest.raises(RankDeficient, match=r"iteration 1 with res = 1\.250e\+00, .*"
                        r"the known solution is not the only least-squares solution"):
         solve(problem, SolverConfig(method=method))
+
+
+def zero_column_probe():
+    """60x6 Gaussian with column 2 zeroed and a known solution."""
+    A = np.random.default_rng(0).standard_normal((60, 6))
+    A[:, 2] = 0.0
+    return make_consistent(A, 1)
+
+
+@pytest.mark.parametrize("storage", [np.asfortranarray, sparse.csc_array])
+@pytest.mark.parametrize("method", list(Method))
+def test_zero_column_share_above_tol_raises_before_the_first_step(method, storage):
+    problem = zero_column_probe()
+    problem.matrix = storage(problem.matrix)
+    with pytest.raises(RankDeficient, match=r"cannot fall below 3\.016e-02 at iteration 0"):
+        solve(problem, SolverConfig(method=method))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_zero_column_share_at_or_below_tol_solves(method):
+    # Only the zero column's x_true entry is out of reach, and it is 0.
+    problem = zero_column_probe()
+    problem.known_solution[2] = 0.0
+    problem.rhs = problem.matrix @ problem.known_solution
+    report = solve(problem, SolverConfig(method=method, seed=3))
+    assert report.stop_reason is StopReason.RES_REACHED
+    assert report.solution[2] == 0.0
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_all_zero_matrix_with_known_solution_raises(method):
+    problem = LsqProblem(matrix=np.zeros((5, 3), order="F"), rhs=np.zeros(5),
+                         known_solution=np.ones(3))
+    with pytest.raises(RankDeficient, match="iteration 0"):
+        solve(problem, SolverConfig(method=method))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_zero_column_without_known_solution_runs(method):
+    problem = zero_column_probe()
+    problem.known_solution = None
+    report = solve(problem, SolverConfig(method=method, seed=2))
+    assert report.stop_reason is StopReason.GRADIENT_REACHED
+    assert report.solution[2] == 0.0
+
+
+def test_grcd_select_leaves_zero_columns_out():
+    rng = np.random.default_rng(0)
+    j, members, _ = grcd_select(np.array([1.0, 0.0, 4.0]), np.array([1.0, 0.0, 4.0]), 5.0, rng)
+    assert j == 2 and list(members) == [2]
+    for _ in range(50):
+        j, members, _ = grcd_select(np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]), 2.0, rng)
+        assert j != 1 and list(members) == [0, 2]
 
 
 def test_short_run_reports_its_drift():

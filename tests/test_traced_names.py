@@ -8,14 +8,18 @@ variables for the whole process.
 """
 import ast
 import importlib
+import importlib.util
 import os
 
 import pytest
+from scipy import sparse
 
-from greedylsq import solvers
+import greedylsq
+from greedylsq import bench, cli, estimators, problems, solvers
 from greedylsq.problems import gen_gaussian, make_consistent
 
-RUN_PY = os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+RUN_PY = os.path.join(PERFBENCH, "run.py")
 
 
 def traced_names():
@@ -57,3 +61,35 @@ def test_solve_calls_select_through_the_module_attribute(monkeypatch, method, se
     report = solvers.solve(problem, solvers.SolverConfig(method=method, seed=1))
     assert report.iterations > 0
     assert len(calls) == report.iterations
+
+
+def load_tracer_class():
+    spec = importlib.util.spec_from_file_location("tracer", os.path.join(PERFBENCH, "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_every_traced_name_fires_in_one_small_pass(tmp_path):
+    """One small pass over the package calls every traced name, so a call
+    path the benchmark's tracer would miss fails here."""
+    tracer = load_tracer_class()(greedylsq, traced_names())
+    tracer.install()
+    try:
+        tracer.enabled = True
+        A = problems.gen_gaussian(30, 4, seed=3)
+        for matrix in (A, sparse.csc_array(A)):
+            problem = problems.make_consistent(matrix, seed=4)
+            for method in solvers.Method:
+                solvers.solve(problem, solvers.SolverConfig(method=method, seed=1))
+        problems.make_inconsistent(A, seed=5)
+        estimators.GreedyGaussSeidel().fit(A, A.sum(axis=1))
+        entry = problems.ManifestEntry(label="row", kind="random", rows=30, cols=4)
+        bench.run_experiment(bench.ExperimentSpec(problem=entry, methods=["ggs"], repeats=1))
+        path = str(tmp_path / "A.mtx")
+        problems.save_matrix_market(sparse.csc_array(A), path)
+        for argv in (["solve", path, "--consistent"], ["verify-bounds", path], ["info", path]):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert [name for name, row in tracer.summary().items() if not row["calls"]] == []
