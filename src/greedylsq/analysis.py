@@ -88,9 +88,8 @@ def lambda_min_pos(A):
     return gram_extreme_eigenvalues(A)[0]
 
 
-def _check_factor(f, allow_zero=True):
-    lo_ok = f >= 0.0 if allow_zero else f > 0.0
-    if not (lo_ok and f < 1.0):
+def _check_factor(f):
+    if not 0.0 <= f < 1.0:
         raise FactorOutOfRange(f"contraction factor {f} outside [0, 1)")
     return float(f)
 

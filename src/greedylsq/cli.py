@@ -2,21 +2,20 @@
 
 Subcommands: solve, bench, verify-bounds, gen, info.
 
-Exit codes: 0 success / converged, 1 runtime error, 2 iteration cap,
-64 usage error, 66 missing input file.
+Exit codes: 0 success / converged, 1 runtime error (a GreedyLsqError or an
+OSError), 2 iteration cap, 64 usage error, 66 missing input file.
 """
 import argparse
 import os
 import sys
 
-import numpy as np
-
 from .analysis import grcd_expected_factor, lambda_min_pos, verify_trace
 from .bench import ExperimentSpec, build_trial_problem, emit_convergence_curve, emit_table, run_experiment
-from .exceptions import GreedyLsqError, NotApplicable, RankDeficient
+from .exceptions import GreedyLsqError, ParseError, RankDeficient
 from .problems import (
     RHS_SEED_OFFSET,
     LsqProblem,
+    assert_full_column_rank,
     gen_gaussian,
     load_manifest,
     load_matrix_market,
@@ -57,6 +56,7 @@ def _checked(kind, ok, rule):
 
 _COUNT = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _TOL = _checked(float, lambda v: v > 0.0, "must be positive")
+_SEED = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 
 
 def _method_list(text):
@@ -80,7 +80,7 @@ def _add_solver_args(p):
     p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
     p.add_argument("--tol", type=_TOL, default=1e-6)
     p.add_argument("--max-iters", type=_COUNT, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
 
 
 def _add_rhs_args(p, allow_file_rhs):
@@ -107,7 +107,7 @@ def build_parser():
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")
     p.add_argument("--repeats", type=_COUNT, default=50)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_SEED, default=1)
     p.add_argument("--out", default=".", help="output directory for tables and curves")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--methods", type=_method_list, default="ggs,grcd",
@@ -120,7 +120,7 @@ def build_parser():
     _add_rhs_args(p, allow_file_rhs=False)
     p.add_argument("--tol", type=_TOL, default=1e-6)
     p.add_argument("--max-iters", type=_COUNT, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", metavar="PATH", help="write the full text report here")
     p.add_argument("--csv", metavar="PATH", help="append a machine-readable summary row here")
 
@@ -129,13 +129,21 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--consistent", action="store_true")
     group.add_argument("--inconsistent", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="seed for the right-hand-side stream")
+    p.add_argument("--seed", type=_SEED, default=0, help="seed for the right-hand-side stream")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("info", help="print matrix statistics")
     p.add_argument("matrix")
 
     return parser
+
+
+def _input(path, what):
+    """Return ``path``, or exit 66 naming ``what`` if it does not exist."""
+    if not os.path.exists(path):
+        print(f"greedylsq: {what} not found: {path}", file=sys.stderr)
+        raise SystemExit(EXIT_NOINPUT)
+    return path
 
 
 def _random_matrix(args, parser):
@@ -152,29 +160,27 @@ def _load_cli_matrix(args, parser):
         return _random_matrix(args, parser)
     if args.matrix is None:
         parser.error("a matrix file or --random is required")
-    if not os.path.exists(args.matrix):
-        print(f"greedylsq: matrix file not found: {args.matrix}", file=sys.stderr)
-        raise SystemExit(EXIT_NOINPUT)
-    return load_matrix_market(args.matrix), args.matrix
+    return load_matrix_market(_input(args.matrix, "matrix file")), args.matrix
 
 
-def _build_cli_problem(args, parser, A, label, allow_file_rhs):
-    if allow_file_rhs and args.rhs is not None:
-        if not os.path.exists(args.rhs):
-            print(f"greedylsq: rhs file not found: {args.rhs}", file=sys.stderr)
-            raise SystemExit(EXIT_NOINPUT)
-        return LsqProblem(matrix=A, rhs=load_vector(args.rhs), label=label)
-    if args.consistent:
-        return make_consistent(A, args.seed + RHS_SEED_OFFSET, label=label)
-    if args.inconsistent:
-        return make_inconsistent(A, args.seed + RHS_SEED_OFFSET, label=label)
-    wanted = "--rhs, --consistent or --inconsistent" if allow_file_rhs else "--consistent or --inconsistent"
-    parser.error(f"one of {wanted} is required")
+def _synthesized(args, A, label=""):
+    """The problem on ``A`` with a synthesized rhs: inconsistent under --inconsistent, else consistent."""
+    make = make_inconsistent if args.inconsistent else make_consistent
+    return make(A, args.seed + RHS_SEED_OFFSET, label=label)
 
 
 def cmd_solve(args, parser):
     A, label = _load_cli_matrix(args, parser)
-    problem = _build_cli_problem(args, parser, A, label, allow_file_rhs=True)
+    if args.rhs is not None:
+        rhs = load_vector(_input(args.rhs, "rhs file"))
+        if rhs.size != A.shape[0]:
+            raise ParseError(f"rhs file {args.rhs} has {rhs.size} values, "
+                             f"but the matrix has {A.shape[0]} rows")
+        problem = LsqProblem(matrix=A, rhs=rhs, label=label)
+    elif args.consistent or args.inconsistent:
+        problem = _synthesized(args, A, label)
+    else:
+        parser.error("one of --rhs, --consistent or --inconsistent is required")
     config = SolverConfig(
         method=Method(args.method),
         max_iterations=args.max_iters,
@@ -199,10 +205,7 @@ def cmd_solve(args, parser):
 
 
 def cmd_bench(args, parser):
-    if not os.path.exists(args.manifest):
-        print(f"greedylsq: manifest not found: {args.manifest}", file=sys.stderr)
-        raise SystemExit(EXIT_NOINPUT)
-    entries = load_manifest(args.manifest)
+    entries = load_manifest(_input(args.manifest, "manifest"))
     os.makedirs(args.out, exist_ok=True)
 
     results = []
@@ -254,16 +257,8 @@ def _write_curve(entry, spec, out_dir):
 
 def cmd_verify_bounds(args, parser):
     A, label = _load_cli_matrix(args, parser)
-    if not args.consistent and not args.inconsistent:
-        args.consistent = True
-    problem = _build_cli_problem(args, parser, A, label, allow_file_rhs=False)
-
-    try:
-        lam = lambda_min_pos(A)
-    except RankDeficient as exc:
-        print(f"greedylsq: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    problem = _synthesized(args, A, label)
+    lam = lambda_min_pos(A)
     config = SolverConfig(
         method=Method.GGS,
         max_iterations=args.max_iters,
@@ -272,10 +267,8 @@ def cmd_verify_bounds(args, parser):
     )
     report = solve(problem, config)
     bounds = verify_trace(report.trace, lam, A.shape[1])
-    try:
+    if A.shape[1] > 1:  # the expected factor is undefined for one column
         bounds.grcd_expected = grcd_expected_factor(A, lam)
-    except NotApplicable:
-        pass
 
     total_violations = len(bounds.violations) + bounds.cumulative_violations
     print(f"matrix: {label} ({A.shape[0]}x{A.shape[1]})")
@@ -307,8 +300,7 @@ def cmd_verify_bounds(args, parser):
 
 def cmd_gen(args, parser):
     A, _ = _random_matrix(args, parser)
-    make = make_consistent if args.consistent else make_inconsistent
-    problem = make(A, args.seed + RHS_SEED_OFFSET)
+    problem = _synthesized(args, A)
     os.makedirs(args.out, exist_ok=True)
     matrix_path = os.path.join(args.out, "matrix.mtx")
     rhs_path = os.path.join(args.out, "rhs.txt")
@@ -324,17 +316,13 @@ def cmd_gen(args, parser):
 
 
 def cmd_info(args, parser):
-    if not os.path.exists(args.matrix):
-        print(f"greedylsq: matrix file not found: {args.matrix}", file=sys.stderr)
-        raise SystemExit(EXIT_NOINPUT)
-    A = load_matrix_market(args.matrix)
+    A = load_matrix_market(_input(args.matrix, "matrix file"))
     m, n = A.shape
     print(f"rows: {m}")
     print(f"cols: {n}")
     print(f"nnz: {A.nnz if is_sparse(A) else m * n}")
     print(f"density: {100.0 * matrix_density(A):.2f}%")
     try:
-        from .problems import assert_full_column_rank
         cond = assert_full_column_rank(A)
     except RankDeficient:
         print("cond: rank-deficient")
@@ -359,7 +347,7 @@ def main(argv=None):
         return _HANDLERS[args.command](args, parser)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    except GreedyLsqError as exc:
+    except (GreedyLsqError, OSError) as exc:
         print(f"greedylsq: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

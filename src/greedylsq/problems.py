@@ -401,6 +401,8 @@ def load_manifest(path):
                     seed = int(parts[3])
                 except ValueError:
                     raise ParseError(f"bad seed {parts[3]!r}", no) from None
+                if seed < 0:
+                    raise ParseError(f"seed {seed} must be >= 0", no)
             entry = ManifestEntry(label=label, kind="", consistent=consistency == "consistent", seed=seed)
             if matrix_spec.startswith("random:"):
                 dims = matrix_spec[len("random:"):].lower().split("x")

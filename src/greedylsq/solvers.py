@@ -101,7 +101,7 @@ class SolverConfig:
             ||x - x_true||^2 / ||x_true||^2 drops to this value (when the
             true solution is known), or once ||A^T r||^2 falls to this
             fraction of ||A^T b||^2 (when it is not).
-        seed: PRNG seed, used by the randomized methods only.
+        seed: PRNG seed (>= 0), used by the randomized methods only.
         record_trace: keep a per-iteration record of the solve.
     """
 
@@ -118,6 +118,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.res_tolerance <= 0.0:
             raise ValueError("res_tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -434,11 +436,10 @@ def solve(problem, config):
         try:
             j, members, threshold = select(s, col_norms, frob_sq, rng)
         except AllZeroGradient:
-            if stale:
-                refresh = True
-                continue
-            # In gradient-stop mode a fresh zero gradient has already met
-            # the stop rule, so this is res-stop mode with res above tol.
+            # s is fresh here: a stale s that fell to zero set refresh, since
+            # 0 < GRADIENT_FALL_REFRESH * s_max_fresh.  In gradient-stop mode a
+            # fresh zero gradient has already met the stop rule, so this is
+            # res-stop mode with res above tol.
             raise RankDeficient(
                 f"the gradient A^T r is exactly zero at iteration {k} with res = {res:.3e}, "
                 f"above the tolerance {tol:.1e}: the iterate solves the normal equation, so "

@@ -320,3 +320,56 @@ def test_non_finite_matrix_exits_1_with_one_line(tmp_path, capsys, command, opti
     assert code == 1
     assert err.startswith("greedylsq: ") and err.count("\n") == 1
     assert "Gram matrix" in err
+
+
+_NO_TRACEBACK_CASES = [
+    # (argv, exit code); paths are relative to a directory holding
+    # fixture3x2.mtx, b2.txt (2 values), small.txt, neg.txt (seed -1),
+    # an empty directory adir and an existing file afile.
+    (["solve", "--random", "40", "4", "1", "--consistent", "--seed", "-1"], 64),
+    (["solve", "--random", "40", "4", "1", "--consistent", "--method", "grcd",
+      "--seed", "-1"], 64),
+    (["verify-bounds", "--random", "40", "4", "1", "--seed", "-1"], 64),
+    (["gen", "--random", "40", "4", "1", "--consistent", "--seed", "-1", "--out", "g"], 64),
+    (["bench", "small.txt", "--seed", "-1", "--out", "b"], 64),
+    (["bench", "neg.txt", "--out", "b"], 1),
+    (["solve", "fixture3x2.mtx", "--rhs", "b2.txt"], 1),
+    (["solve", "adir", "--consistent"], 1),
+    (["solve", "fixture3x2.mtx", "--rhs", "adir"], 1),
+    (["info", "adir"], 1),
+    (["bench", "adir"], 1),
+    (["verify-bounds", "--random", "40", "4", "1", "--out", "nodir/report.txt"], 1),
+    (["solve", "--random", "40", "4", "1", "--consistent", "--trace", "nodir/t.csv"], 1),
+    (["gen", "--random", "40", "4", "1", "--consistent", "--out", "afile"], 1),
+    (["bench", "small.txt", "--out", "afile"], 1),
+    (["solve", "missing.mtx", "--consistent"], 66),
+    (["solve", "fixture3x2.mtx", "--rhs", "missing.txt"], 66),
+    (["verify-bounds", "missing.mtx"], 66),
+    (["info", "missing.mtx"], 66),
+    (["bench", "missing.txt"], 66),
+]
+
+
+@pytest.mark.parametrize("argv, want", _NO_TRACEBACK_CASES,
+                         ids=[" ".join(argv) for argv, _ in _NO_TRACEBACK_CASES])
+def test_cli_failure_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsys, argv, want):
+    shutil.copy(data_path("fixture3x2.mtx"), tmp_path)
+    (tmp_path / "b2.txt").write_text("1.0\n2.0\n")
+    (tmp_path / "small.txt").write_text("row random:40x4 consistent\n")
+    (tmp_path / "neg.txt").write_text("row random:40x4 consistent -1\n")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == want
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "greedylsq:" in ln or "error:" in ln]) == 1
+
+
+def test_rhs_length_mismatch_names_both_counts(tmp_path, capsys):
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\n2.0\n")
+    code, out, err = run_cli(capsys, "solve", data_path("fixture3x2.mtx"), "--rhs", str(rhs))
+    assert code == 1
+    assert out == ""
+    assert err == f"greedylsq: rhs file {rhs} has 2 values, but the matrix has 3 rows\n"

@@ -381,3 +381,10 @@ def test_load_manifest_errors(tmp_path):
     bad.write_text("# nothing\n")
     with pytest.raises(ParseError):
         load_manifest(bad)
+
+
+def test_manifest_negative_seed_names_its_line(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# seeds\nrow random:40x4 consistent -1\n")
+    with pytest.raises(ParseError, match="^line 2: seed -1 must be >= 0$"):
+        load_manifest(bad)

@@ -625,3 +625,9 @@ def test_huge_gradient_entries_still_converge(method):
     problem = LsqProblem(matrix=A, rhs=A @ x_true, known_solution=x_true)
     report = solve(problem, SolverConfig(method=method, seed=1, max_iterations=5000))
     assert report.stop_reason is StopReason.RES_REACHED
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_negative_seed_is_rejected_for_every_method(method):
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(method=method, seed=-1)
