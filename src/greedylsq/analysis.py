@@ -95,9 +95,12 @@ def _check_factor(f):
 
 
 def ggs_first_step_factor(lambda_min, n, set_size, norm_sum):
-    """Guaranteed contraction factor of the first greedy step."""
+    """Guaranteed contraction factor of the first greedy step: exactly 0
+    for n = 1, where a single column converges in one step."""
     if lambda_min <= 0.0 or n < 1 or set_size < 1 or norm_sum <= 0.0:
         raise ValueError("all inputs must be positive")
+    if n == 1:
+        return 0.0
     return _check_factor(1.0 - lambda_min / (set_size * norm_sum * n))
 
 

@@ -9,15 +9,37 @@ import numpy as np
 from .validation import as_vector, check_column_index, is_sparse
 
 
+# Dense column norms of a column-major matrix are squared and summed in
+# blocks of whole columns taking at most this many bytes (one column when
+# a column is larger), so no m x n temporary is made.
+NORM_BLOCK_BYTES = 256 * 2**10
+
+
 def column_norms_sq(A):
-    """Squared Euclidean norm of every column, as a length-n vector."""
+    """Squared Euclidean norm of every column, as a length-n vector.
+
+    For dense input this equals (A * A).sum(axis=0) bit for bit: a
+    column-major float64 matrix is squared block by block into one small
+    buffer, and each column is still one contiguous pairwise sum.
+    """
     if is_sparse(A):
         sq = A.data * A.data
         out = np.empty(A.shape[1])
         for j in range(A.shape[1]):
             out[j] = sq[A.indptr[j]:A.indptr[j + 1]].sum()
         return out
-    return (A * A).sum(axis=0)
+    if A.dtype != np.float64 or not A.flags.f_contiguous:
+        return (A * A).sum(axis=0)
+    m, n = A.shape
+    width = max(1, NORM_BLOCK_BYTES // (8 * max(m, 1)))
+    buf = np.empty((m, min(width, n)), order="F")
+    out = np.empty(n)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        block = buf[:, :hi - lo]
+        np.multiply(A[:, lo:hi], A[:, lo:hi], out=block)
+        block.sum(axis=0, out=out[lo:hi])
+    return out
 
 
 def matvec(A, x):

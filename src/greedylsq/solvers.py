@@ -154,8 +154,10 @@ class SolveReport:
 
 def _greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
     """Stage 1 of both greedy rules: every column whose gradient magnitude
-    is within ``tie_tolerance_rel`` (relative) of the maximum, with its
-    ratio s[j]^2 / ||A[:, j]||^2.
+    is within ``tie_tolerance_rel`` (relative) of the maximum.
+
+    Returns:
+        (candidate index array, max|s|).
 
     Raises:
         AllZeroGradient: if s is identically zero.
@@ -165,12 +167,16 @@ def _greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
     s_max = abs_s.max()
     if s_max == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
-    candidates = np.flatnonzero(abs_s >= (1.0 - tie_tolerance_rel) * s_max)
-    norms = col_norms_sq[candidates]
-    if np.any(norms <= 0.0):
+    candidates = (abs_s >= (1.0 - tie_tolerance_rel) * s_max).nonzero()[0]
+    if col_norms_sq[candidates].min() <= 0.0:
         raise ZeroColumn("candidate column has zero norm")
+    return candidates, s_max
+
+
+def _candidate_ratios(s, col_norms_sq, candidates, s_max):
+    """Stage 2 weights: s[j]^2 / ||A[:, j]||^2 over the candidates."""
     t = _unit_scaled(s[candidates], s_max)
-    return candidates, t * t / norms
+    return t * t / col_norms_sq[candidates]
 
 
 def _unit_scaled(s, s_max):
@@ -190,15 +196,23 @@ def ggs_select(s, col_norms_sq, tie_tolerance_rel):
     Returns:
         (chosen index, candidate index array).
     """
-    candidates, ratios = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    candidates, s_max = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    if candidates.size == 1:
+        return int(candidates[0]), candidates
+    ratios = _candidate_ratios(s, col_norms_sq, candidates, s_max)
     return int(candidates[int(np.argmax(ratios))]), candidates
 
 
 def ggs_randomized_select(s, col_norms_sq, tie_tolerance_rel, rng):
     """Like ggs_select, but samples from the candidate set with
-    probability proportional to s[j]^2 / ||A[:, j]||^2."""
-    candidates, weights = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
-    return int(candidates[_sample_inverse_cdf(weights, rng)]), candidates
+    probability proportional to s[j]^2 / ||A[:, j]||^2.  Every call takes
+    one uniform from rng, also when the set has a single member."""
+    candidates, s_max = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    if candidates.size == 1:
+        rng.random()
+        return int(candidates[0]), candidates
+    weights = _candidate_ratios(s, col_norms_sq, candidates, s_max)
+    return int(candidates[_sample_inverse_cdf(np.cumsum(weights), rng)]), candidates
 
 
 def grcd_select(s, col_norms_sq, frob_sq, rng):
@@ -230,20 +244,22 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     # so borderline rounding cannot leave the set empty.
     mask[best] = True
     members = np.flatnonzero(mask)
-    chosen = int(members[_sample_inverse_cdf(sq[members], rng)])
+    chosen = int(members[_sample_inverse_cdf(np.cumsum(sq[members]), rng)])
     return chosen, members, float(threshold)
 
 
-def rgs_select(col_norms_sq, frob_sq, rng):
-    """Sample a column with probability ||A[:, j]||^2 / ||A||_F^2."""
-    if frob_sq <= 0.0:
-        raise ValueError("frob_sq must be positive")
-    return int(_sample_inverse_cdf(col_norms_sq, rng))
+def rgs_select(cum_norms_sq, rng):
+    """Sample a column with probability ||A[:, j]||^2 / ||A||_F^2.
+
+    ``cum_norms_sq`` is the cumulative table np.cumsum(column_norms_sq(A)),
+    built once per solve.
+    """
+    return _sample_inverse_cdf(cum_norms_sq, rng)
 
 
-def _sample_inverse_cdf(weights, rng):
-    """Draw an index proportionally to nonnegative weights (one uniform)."""
-    cum = np.cumsum(weights)
+def _sample_inverse_cdf(cum, rng):
+    """Draw index j with probability (cum[j] - cum[j-1]) / cum[-1] from a
+    cumulative table of nonnegative weights (one uniform)."""
     u = rng.random() * cum[-1]
     return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
 
@@ -266,17 +282,17 @@ def step(x, r, A, j, col_norm_sq_j):
 
 
 # The selection rule of each method, called as rule(s, col_norms_sq,
-# frob_sq, rng) and returning (chosen index, member index array, grcd
-# threshold or None).  Each entry looks its select function up by module
-# attribute at call time, so a wrapper installed there (perfbench's
-# tracer) sees every call.
+# cum_norms_sq, frob_sq, rng) and returning (chosen index, member index
+# array, grcd threshold or None); cum_norms_sq, the cumulative column-norm
+# table, is built for rgs only.  Each entry looks its select function up
+# by module attribute at call time, so a wrapper installed there
+# (perfbench's tracer) sees every call.
 _SELECT = {
-    Method.GGS: lambda s, norms, frob_sq, rng: (*ggs_select(s, norms, TIE_TOLERANCE_REL), None),
-    Method.GGS_RANDOMIZED: lambda s, norms, frob_sq, rng: (
+    Method.GGS: lambda s, norms, cum, frob_sq, rng: (*ggs_select(s, norms, TIE_TOLERANCE_REL), None),
+    Method.GGS_RANDOMIZED: lambda s, norms, cum, frob_sq, rng: (
         *ggs_randomized_select(s, norms, TIE_TOLERANCE_REL, rng), None),
-    Method.GRCD: lambda s, norms, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
-    Method.RGS: lambda s, norms, frob_sq, rng: (
-        (j := rgs_select(norms, frob_sq, rng)), [j], None),
+    Method.GRCD: lambda s, norms, cum, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
+    Method.RGS: lambda s, norms, cum, frob_sq, rng: ((j := rgs_select(cum, rng)), [j], None),
 }
 
 
@@ -343,6 +359,7 @@ def solve(problem, config):
     t_start = time.perf_counter()
     col_norms = column_norms_sq(A)
     frob_sq = float(col_norms.sum())
+    cum_norms = np.cumsum(col_norms) if method is Method.RGS else None
     # A NaN, infinite or overflowing entry of A shows in its column norms,
     # so this needs no extra pass over the matrix.
     if not np.isfinite(col_norms).all():
@@ -434,7 +451,7 @@ def solve(problem, config):
             stop_reason = StopReason.ITERATION_CAP
             break
         try:
-            j, members, threshold = select(s, col_norms, frob_sq, rng)
+            j, members, threshold = select(s, col_norms, cum_norms, frob_sq, rng)
         except AllZeroGradient:
             # s is fresh here: a stale s that fell to zero set refresh, since
             # 0 < GRADIENT_FALL_REFRESH * s_max_fresh.  In gradient-stop mode a

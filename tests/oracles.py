@@ -1,9 +1,16 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is written with plain Python loops and elementary
-formulas so it shares no code path with the package implementation.
+formulas so it shares no code path with the package implementation,
+except the ``ref_*`` selections at the end: those are the package's
+earlier selection code, kept verbatim so a faster selection can be
+checked bit for bit, rng state included, against what it replaces.
 """
+import math
+
 import numpy as np
+
+from greedylsq.exceptions import AllZeroGradient, ZeroColumn
 
 
 def brute_ggs_select(s, norms, tie_tol):
@@ -75,3 +82,47 @@ def charpoly_smallest_eigenvalue(G, grid_points=200_000, bisect_iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Earlier package selections (before the one-candidate fast path and the
+# per-solve cumulative rgs table), verbatim apart from their names.
+# ---------------------------------------------------------------------------
+
+def _ref_greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
+    abs_s = np.abs(s)
+    s_max = abs_s.max()
+    if s_max == 0.0:
+        raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
+    candidates = np.flatnonzero(abs_s >= (1.0 - tie_tolerance_rel) * s_max)
+    norms = col_norms_sq[candidates]
+    if np.any(norms <= 0.0):
+        raise ZeroColumn("candidate column has zero norm")
+    t = _ref_unit_scaled(s[candidates], s_max)
+    return candidates, t * t / norms
+
+
+def _ref_unit_scaled(s, s_max):
+    return np.ldexp(s, -math.frexp(s_max)[1])
+
+
+def ref_ggs_select(s, col_norms_sq, tie_tolerance_rel):
+    candidates, ratios = _ref_greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    return int(candidates[int(np.argmax(ratios))]), candidates
+
+
+def ref_ggs_randomized_select(s, col_norms_sq, tie_tolerance_rel, rng):
+    candidates, weights = _ref_greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    return int(candidates[_ref_sample_inverse_cdf(weights, rng)]), candidates
+
+
+def ref_rgs_select(col_norms_sq, frob_sq, rng):
+    if frob_sq <= 0.0:
+        raise ValueError("frob_sq must be positive")
+    return int(_ref_sample_inverse_cdf(col_norms_sq, rng))
+
+
+def _ref_sample_inverse_cdf(weights, rng):
+    cum = np.cumsum(weights)
+    u = rng.random() * cum[-1]
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)

@@ -136,6 +136,16 @@ def test_verify_bounds_random(tmp_path, capsys):
     assert "factors:" in text
 
 
+def test_verify_bounds_single_column(capsys):
+    # One column converges in one step, so the first-step factor is 0.
+    code, out, err = run_cli(capsys, "verify-bounds", "--random", "30", "1", "2")
+    assert (code, err) == (0, "")
+    lines = dict(ln.split(": ", 1) for ln in out.strip().splitlines())
+    assert float(lines["first_step_factor"]) == 0.0
+    assert lines["per_step_violations"] == "0"
+    assert lines["cumulative_violations"] == "0"
+
+
 def test_verify_bounds_worked_fixture(tmp_path, capsys):
     report_path = tmp_path / "report.txt"
     code, out, _ = run_cli(capsys, "verify-bounds", data_path("fixture3x2.mtx"),

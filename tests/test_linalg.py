@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from greedylsq.linalg import (
+    NORM_BLOCK_BYTES,
     axpy_column,
     column_dot,
     column_norms_sq,
@@ -34,6 +37,33 @@ def test_column_norms_sq_identity():
 def test_column_norms_sq_cross_representation():
     dense, csc = random_pair(5, 3, seed=11)
     np.testing.assert_allclose(column_norms_sq(dense), column_norms_sq(csc), rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [
+    (NORM_BLOCK_BYTES // 8 + 232, 3),    # a column over the block: one per block
+    (5000, 77),     # 6 columns per block, 77 not a multiple of 6
+    (300, 1),
+    (1, 9),
+    (1000, 50),
+])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_column_norms_sq_dense_is_bit_identical_to_the_full_product(shape, order):
+    A = np.random.default_rng(sum(shape)).standard_normal(shape)
+    A = np.asfortranarray(A) if order == "F" else np.ascontiguousarray(A)
+    assert column_norms_sq(A).tobytes() == (A * A).sum(axis=0).tobytes()
+
+
+def test_column_norms_sq_dense_makes_no_full_size_temporary():
+    A = np.asfortranarray(np.random.default_rng(2).standard_normal((20_000, 250)))
+    tracemalloc.start()
+    try:
+        column_norms_sq(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The lower bound shows tracemalloc sees numpy's buffers at all: one
+    # column of squares is the least the blocked sum can hold.
+    assert 8 * A.shape[0] <= peak < 2**20
 
 
 def test_frobenius_equals_column_sum_exactly():

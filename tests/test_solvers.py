@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_rgs_select
+
 from greedylsq import solvers
 from greedylsq.exceptions import (
     AllZeroGradient,
@@ -127,7 +129,7 @@ def test_rgs_select_frequencies():
     draws = 10_000
     norms = np.array([1.0, 3.0])
     for _ in range(draws):
-        counts += rgs_select(norms, 4.0, rng)
+        counts += rgs_select(np.cumsum(norms), rng)
     freq = counts / draws
     sigma = np.sqrt(0.75 * 0.25 / draws)
     assert abs(freq - 0.75) < 3 * sigma
@@ -139,13 +141,13 @@ def test_rgs_select_uniform_when_equal_norms():
     n = 4
     counts = np.zeros(n)
     for _ in range(draws):
-        counts[rgs_select(np.ones(n), float(n), rng)] += 1
+        counts[rgs_select(np.cumsum(np.ones(n)), rng)] += 1
     sigma = np.sqrt((1 / n) * (1 - 1 / n) / draws)
     assert np.all(np.abs(counts / draws - 1 / n) < 3 * sigma + 1e-9)
 
 
 def test_rgs_select_single_column():
-    assert rgs_select(np.array([2.0]), 2.0, np.random.default_rng(0)) == 0
+    assert rgs_select(np.cumsum([2.0]), np.random.default_rng(0)) == 0
 
 
 def test_ggs_randomized_single_candidate_matches_deterministic():
@@ -178,6 +180,75 @@ def test_ggs_randomized_uniform_on_full_tie():
         counts[j] += 1
     sigma = np.sqrt((1 / 3) * (2 / 3) / draws)
     assert np.all(np.abs(counts / draws - 1 / 3) < 3 * sigma + 1e-9)
+
+
+def selection_cases():
+    """(s, norms) pairs: random gradients, exact ties, one-candidate sets,
+    and all of them scaled near the ends of the float range."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        s = rng.standard_normal(n)
+        norms = rng.random(n) + 0.05
+        cases.append((s, norms))
+        # Ties: the largest magnitudes rounded to a shared value, with signs.
+        tied = np.where(np.abs(s) > 0.8, np.sign(s) * 2.0, s)
+        cases.append((tied, norms))
+        # Integer gradients and norms tie exactly on both stages.
+        ints = rng.integers(-3, 4, n).astype(float)
+        ints[int(rng.integers(n))] = 3.0
+        cases.append((ints, rng.integers(1, 3, n).astype(float)))
+        one = np.zeros(n)
+        one[int(rng.integers(n))] = float(rng.standard_normal()) or 1.0
+        cases.append((one, norms))
+    return cases + [(1e-300 * s, norms) for s, norms in cases] + [
+        (1e300 * s, norms) for s, norms in cases]
+
+
+def test_ggs_select_matches_reference_selection():
+    for s, norms in selection_cases():
+        j, cand = ggs_select(s, norms, 1e-12)
+        j_ref, cand_ref = ref_ggs_select(s, norms, 1e-12)
+        assert j == j_ref
+        assert cand.tobytes() == cand_ref.tobytes() and cand.dtype == cand_ref.dtype
+
+
+def test_ggs_randomized_select_matches_reference_selection_and_rng_state():
+    for i, (s, norms) in enumerate(selection_cases()):
+        rng, rng_ref = np.random.default_rng(i), np.random.default_rng(i)
+        for _ in range(3):
+            j, cand = ggs_randomized_select(s, norms, 1e-12, rng)
+            j_ref, cand_ref = ref_ggs_randomized_select(s, norms, 1e-12, rng_ref)
+            assert j == j_ref
+            assert cand.tobytes() == cand_ref.tobytes()
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("s, norms, exc", [
+    (np.zeros(3), np.ones(3), AllZeroGradient),
+    (np.array([1.0, 0.5]), np.array([0.0, 1.0]), ZeroColumn),
+    (np.array([1.0, 1.0]), np.array([1.0, 0.0]), ZeroColumn),
+])
+def test_greedy_selections_raise_like_the_reference(s, norms, exc):
+    for select in (lambda: ggs_select(s, norms, 1e-12),
+                   lambda: ref_ggs_select(s, norms, 1e-12),
+                   lambda: ggs_randomized_select(s, norms, 1e-12, np.random.default_rng(0)),
+                   lambda: ref_ggs_randomized_select(s, norms, 1e-12, np.random.default_rng(0))):
+        with pytest.raises(exc):
+            select()
+
+
+def test_rgs_select_draws_match_the_per_step_table():
+    norms = np.random.default_rng(8).random(37) + 0.01
+    norms[[3, 20]] = 0.0
+    cum = np.cumsum(norms)
+    rng, rng_ref = np.random.default_rng(40), np.random.default_rng(40)
+    draws = [rgs_select(cum, rng) for _ in range(10_000)]
+    ref = [ref_rgs_select(norms, float(norms.sum()), rng_ref) for _ in range(10_000)]
+    assert draws == ref
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert 3 not in draws and 20 not in draws
 
 
 # ---------------------------------------------------------------------------
