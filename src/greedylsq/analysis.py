@@ -26,7 +26,7 @@ from .exceptions import (
     RankDeficient,
 )
 from .linalg import column_norms_sq
-from .validation import is_sparse
+from .validation import as_matrix, is_sparse
 
 # Absolute slack on measured contraction ratios, absorbing rounding in
 # the recorded energy errors.
@@ -132,6 +132,7 @@ def grcd_expected_factor(A, lambda_min):
     Raises:
         NotApplicable: for n = 1.
     """
+    A = as_matrix(A)
     if A.shape[1] == 1:
         raise NotApplicable("expected factor is undefined for a single column")
     norms = column_norms_sq(A)

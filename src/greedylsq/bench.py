@@ -78,7 +78,7 @@ def build_trial_problem(entry, base_seed, trial, file_matrix=None):
     else:
         raise ValueError(f"unknown problem kind {entry.kind!r}")
     make = make_consistent if entry.consistent else make_inconsistent
-    return make(A, rhs_seed, label=entry.label)
+    return make(A, rhs_seed)
 
 
 def run_experiment(spec):

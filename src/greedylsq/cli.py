@@ -163,10 +163,10 @@ def _load_cli_matrix(args, parser):
     return load_matrix_market(_input(args.matrix, "matrix file")), args.matrix
 
 
-def _synthesized(args, A, label=""):
+def _synthesized(args, A):
     """The problem on ``A`` with a synthesized rhs: inconsistent under --inconsistent, else consistent."""
     make = make_inconsistent if args.inconsistent else make_consistent
-    return make(A, args.seed + RHS_SEED_OFFSET, label=label)
+    return make(A, args.seed + RHS_SEED_OFFSET)
 
 
 def cmd_solve(args, parser):
@@ -176,9 +176,9 @@ def cmd_solve(args, parser):
         if rhs.size != A.shape[0]:
             raise ParseError(f"rhs file {args.rhs} has {rhs.size} values, "
                              f"but the matrix has {A.shape[0]} rows")
-        problem = LsqProblem(matrix=A, rhs=rhs, label=label)
+        problem = LsqProblem(matrix=A, rhs=rhs)
     elif args.consistent or args.inconsistent:
-        problem = _synthesized(args, A, label)
+        problem = _synthesized(args, A)
     else:
         parser.error("one of --rhs, --consistent or --inconsistent is required")
     config = SolverConfig(
@@ -257,7 +257,7 @@ def _write_curve(entry, spec, out_dir):
 
 def cmd_verify_bounds(args, parser):
     A, label = _load_cli_matrix(args, parser)
-    problem = _synthesized(args, A, label)
+    problem = _synthesized(args, A)
     lam = lambda_min_pos(A)
     config = SolverConfig(
         method=Method.GGS,

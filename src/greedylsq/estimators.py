@@ -52,10 +52,7 @@ class BaseCoordinateDescent:
         relative error against it reaches ``tol``; otherwise stopping is
         on the relative squared gradient norm.
         """
-        A = as_matrix(X)
-        b = as_vector(y, size=A.shape[0], name="y")
-        problem = LsqProblem(matrix=A, rhs=b, known_solution=x_true)
-        report = solve(problem, self._make_config())
+        report = solve(LsqProblem(matrix=X, rhs=y, known_solution=x_true), self._make_config())
         self.coef_ = report.solution
         self.n_iter_ = report.iterations
         self.stop_reason_ = report.stop_reason

@@ -22,23 +22,29 @@ from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
 RHS_SEED_OFFSET = 0x9E3779B9
 
 
-@dataclass
+@dataclass(frozen=True)
 class LsqProblem:
-    """A least-squares instance: matrix, rhs, and optional known solution."""
+    """A least-squares instance: matrix, rhs, and optional known solution.
+
+    The one owner of the instance's contract: any 2-D array-like or scipy
+    sparse matrix is stored as column-major float64 or canonical CSC, rhs
+    and the known solution as float64 vectors of matching length.  Frozen;
+    ``dataclasses.replace`` builds a changed problem and coerces again.
+    """
 
     matrix: object
     rhs: np.ndarray
     known_solution: np.ndarray | None = None
     consistent: bool = False
-    label: str = ""
     density: float = 1.0
 
     def __post_init__(self):
-        m = self.matrix.shape[0]
-        self.rhs = as_vector(self.rhs, size=m, name="rhs")
+        A = as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "rhs", as_vector(self.rhs, size=A.shape[0], name="rhs"))
         if self.known_solution is not None:
-            self.known_solution = as_vector(self.known_solution, size=self.matrix.shape[1],
-                                            name="known_solution")
+            object.__setattr__(self, "known_solution", as_vector(
+                self.known_solution, size=A.shape[1], name="known_solution"))
 
 
 def matrix_density(A):
@@ -59,7 +65,7 @@ def gen_gaussian(m, n, seed):
     return np.asfortranarray(rng.standard_normal((m, n)))
 
 
-def make_consistent(A, seed, label=""):
+def make_consistent(A, seed):
     """Problem with rhs = A @ x_true for a random normal x_true."""
     A = as_matrix(A)
     rng = np.random.default_rng(seed)
@@ -69,12 +75,11 @@ def make_consistent(A, seed, label=""):
         rhs=matvec(A, x_true),
         known_solution=x_true,
         consistent=True,
-        label=label or f"{A.shape[0]}x{A.shape[1]}",
         density=matrix_density(A),
     )
 
 
-def make_inconsistent(A, seed, label=""):
+def make_inconsistent(A, seed):
     """Problem with rhs = A @ x_true + r0, r0 a nonzero vector with A^T r0 = 0.
 
     r0 is the component of a random vector orthogonal to the column
@@ -102,7 +107,6 @@ def make_inconsistent(A, seed, label=""):
         rhs=matvec(A, x_true) + r0,
         known_solution=x_true,
         consistent=False,
-        label=label or f"{m}x{n}",
         density=matrix_density(A),
     )
 

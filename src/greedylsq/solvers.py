@@ -47,7 +47,7 @@ from .linalg import (
     matvec,
     transpose_matvec,
 )
-from .validation import as_vector, is_sparse
+from .validation import is_sparse
 
 # Incremental residuals are rebuilt from scratch this often to stop
 # rounding drift from accumulating over very long runs.
@@ -152,9 +152,9 @@ class SolveReport:
     max_drift_rel: float = 0.0
 
 
-def _greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
+def _greedy_candidates(s, col_norms_sq):
     """Stage 1 of both greedy rules: every column whose gradient magnitude
-    is within ``tie_tolerance_rel`` (relative) of the maximum.
+    is within TIE_TOLERANCE_REL (relative) of the maximum.
 
     Returns:
         (candidate index array, max|s|).
@@ -167,7 +167,7 @@ def _greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
     s_max = abs_s.max()
     if s_max == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
-    candidates = (abs_s >= (1.0 - tie_tolerance_rel) * s_max).nonzero()[0]
+    candidates = (abs_s >= (1.0 - TIE_TOLERANCE_REL) * s_max).nonzero()[0]
     if col_norms_sq[candidates].min() <= 0.0:
         raise ZeroColumn("candidate column has zero norm")
     return candidates, s_max
@@ -189,25 +189,25 @@ def _unit_scaled(s, s_max):
     return np.ldexp(s, -math.frexp(s_max)[1])
 
 
-def ggs_select(s, col_norms_sq, tie_tolerance_rel):
+def ggs_select(s, col_norms_sq):
     """Two-stage greedy selection: stage 2 picks the candidate maximizing
     s[j]^2 / ||A[:, j]||^2, lowest index on ties.
 
     Returns:
         (chosen index, candidate index array).
     """
-    candidates, s_max = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    candidates, s_max = _greedy_candidates(s, col_norms_sq)
     if candidates.size == 1:
         return int(candidates[0]), candidates
     ratios = _candidate_ratios(s, col_norms_sq, candidates, s_max)
     return int(candidates[int(np.argmax(ratios))]), candidates
 
 
-def ggs_randomized_select(s, col_norms_sq, tie_tolerance_rel, rng):
+def ggs_randomized_select(s, col_norms_sq, rng):
     """Like ggs_select, but samples from the candidate set with
     probability proportional to s[j]^2 / ||A[:, j]||^2.  Every call takes
     one uniform from rng, also when the set has a single member."""
-    candidates, s_max = _greedy_candidates(s, col_norms_sq, tie_tolerance_rel)
+    candidates, s_max = _greedy_candidates(s, col_norms_sq)
     if candidates.size == 1:
         rng.random()
         return int(candidates[0]), candidates
@@ -288,9 +288,8 @@ def step(x, r, A, j, col_norm_sq_j):
 # by module attribute at call time, so a wrapper installed there
 # (perfbench's tracer) sees every call.
 _SELECT = {
-    Method.GGS: lambda s, norms, cum, frob_sq, rng: (*ggs_select(s, norms, TIE_TOLERANCE_REL), None),
-    Method.GGS_RANDOMIZED: lambda s, norms, cum, frob_sq, rng: (
-        *ggs_randomized_select(s, norms, TIE_TOLERANCE_REL, rng), None),
+    Method.GGS: lambda s, norms, cum, frob_sq, rng: (*ggs_select(s, norms), None),
+    Method.GGS_RANDOMIZED: lambda s, norms, cum, frob_sq, rng: (*ggs_randomized_select(s, norms, rng), None),
     Method.GRCD: lambda s, norms, cum, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
     Method.RGS: lambda s, norms, cum, frob_sq, rng: ((j := rgs_select(cum, rng)), [j], None),
 }
@@ -324,7 +323,7 @@ def solve(problem, config):
     (unknown solution), or at the iteration cap.
 
     Args:
-        problem: an LsqProblem (matrix, rhs, optional known solution).
+        problem: an LsqProblem, whose construction checked its inputs.
         config: a SolverConfig.
 
     Returns:
@@ -332,9 +331,9 @@ def solve(problem, config):
         elapsed wall time and (optionally) the per-iteration trace.
 
     Raises:
-        NonFiniteValue: if A (through its squared column norms), b or
-            ||A^T b||^2 is not finite, or the stop measure stops being
-            finite during the run.
+        NonFiniteValue: if A (through its squared column norms), b, the
+            known solution or ||A^T b||^2 is not finite, or the stop
+            measure stops being finite during the run.
         RankDeficient: with a known solution, in two cases where it is
             not the only least-squares solution and cannot be reached.
             Before the first step, if A has zero columns and the known
@@ -343,12 +342,8 @@ def solve(problem, config):
             cannot fall below that share.  During the run, if the gradient
             A^T r becomes exactly zero while res is above the tolerance.
     """
-    A = problem.matrix
-    m, n = A.shape
-    b = as_vector(problem.rhs, size=m, name="rhs")
-    x_star = problem.known_solution
-    if x_star is not None:
-        x_star = as_vector(x_star, size=n, name="known_solution")
+    A, b, x_star = problem.matrix, problem.rhs, problem.known_solution
+    n = A.shape[1]
 
     method = config.method
     select = _SELECT[method]
@@ -366,6 +361,8 @@ def solve(problem, config):
         raise NonFiniteValue("the squared column norms of the matrix are not all finite")
     if not np.isfinite(b).all():
         raise NonFiniteValue("the rhs has a NaN or infinite entry")
+    if x_star is not None and not np.isfinite(x_star).all():
+        raise NonFiniteValue("the known solution has a NaN or infinite entry")
 
     x = np.zeros(n)
     r = b.copy()

@@ -152,6 +152,17 @@ def test_grcd_expected_factor_scale_invariant():
     assert f1 == pytest.approx(f2, rel=1e-12)
 
 
+def test_grcd_expected_factor_is_the_same_for_every_storage():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((60, 6))
+    A[rng.random((60, 6)) > 0.5] = 0.0
+    lam = lambda_min_pos(A)
+    want = grcd_expected_factor(np.asfortranarray(A), lam)
+    for M in (np.ascontiguousarray(A), A.tolist(), sparse.csc_array(A), sparse.csr_array(A),
+              sparse.coo_array(A)):
+        assert grcd_expected_factor(M, lam) == pytest.approx(want, rel=1e-14)
+
+
 def test_grcd_expected_factor_single_column():
     with pytest.raises(NotApplicable):
         grcd_expected_factor(np.ones((4, 1)), 4.0)

@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import data_path
 
 from greedylsq.cli import main
-from greedylsq.problems import save_matrix_market
+from greedylsq.problems import load_manifest, save_matrix_market
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,18 @@ def test_bench_runs_manifest(tmp_path, capsys):
     header = (out_dir / "bench_table.csv").read_text().splitlines()[0]
     assert header == "problem,it_ggs,it_grcd,it_speedup,cpu_ggs,cpu_grcd,cpu_speedup"
     assert "rand" in out and "fix" in out
+
+
+def test_shipped_manifest_runs(tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "manifests", "example.txt")
+    entries = load_manifest(path)
+    assert [(e.label, e.rows, e.cols, e.consistent) for e in entries] == [
+        ("t1_1000x50", 1000, 50, True), ("t1_1000x100", 1000, 100, True),
+        ("t2_1000x50", 1000, 50, False), ("t2_2000x50", 2000, 50, False)]
+    code, out, _ = run_cli(capsys, "bench", path, "--repeats", "1", "--out", str(tmp_path))
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [e.label for e in entries]
 
 
 def test_bench_markdown_format(tmp_path, capsys):

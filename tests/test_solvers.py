@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -39,28 +41,28 @@ def worked_problem():
 # ---------------------------------------------------------------------------
 
 def test_ggs_select_prefers_normalized_winner():
-    j, cand = ggs_select(np.array([1.0, 4.0]), np.array([1.0, 4.0]), 1e-12)
+    j, cand = ggs_select(np.array([1.0, 4.0]), np.array([1.0, 4.0]))
     assert j == 1 and list(cand) == [1]
 
 
 def test_ggs_select_tie_breaks_to_lowest_index():
-    j, cand = ggs_select(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1e-12)
+    j, cand = ggs_select(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     assert j == 0 and list(cand) == [0, 1]
 
 
 def test_ggs_select_stage_two_uses_norm_ratio():
-    j, cand = ggs_select(np.array([2.0, 2.0]), np.array([4.0, 1.0]), 1e-12)
+    j, cand = ggs_select(np.array([2.0, 2.0]), np.array([4.0, 1.0]))
     assert j == 1 and list(cand) == [0, 1]
 
 
 def test_ggs_select_zero_gradient_raises():
     with pytest.raises(AllZeroGradient):
-        ggs_select(np.zeros(3), np.ones(3), 1e-12)
+        ggs_select(np.zeros(3), np.ones(3))
 
 
 def test_ggs_select_zero_norm_candidate_raises():
     with pytest.raises(ZeroColumn):
-        ggs_select(np.array([1.0, 0.5]), np.array([0.0, 1.0]), 1e-12)
+        ggs_select(np.array([1.0, 0.5]), np.array([0.0, 1.0]))
 
 
 def test_grcd_select_hand_threshold():
@@ -116,8 +118,8 @@ def test_greedy_selections_ignore_the_scale_of_the_gradient(power):
     # Entries above 1 in magnitude become ties at +-3, so both greedy
     # rules see several candidates with different norm ratios.
     tied = np.where(np.abs(s) > 1.0, np.sign(s) * 3.0, s)
-    for rule in (lambda v, rng: ggs_select(v, norms, 1e-12),
-                 lambda v, rng: ggs_randomized_select(v, norms, 1e-12, rng)):
+    for rule in (lambda v, rng: ggs_select(v, norms),
+                 lambda v, rng: ggs_randomized_select(v, norms, rng)):
         j, cand = rule(tied, np.random.default_rng(4))
         j2, cand2 = rule(tied * 2.0 ** power, np.random.default_rng(4))
         assert (j, list(cand)) == (j2, list(cand2))
@@ -153,8 +155,8 @@ def test_rgs_select_single_column():
 def test_ggs_randomized_single_candidate_matches_deterministic():
     s = np.array([1.0, 4.0])
     norms = np.array([1.0, 4.0])
-    j_det, cand_det = ggs_select(s, norms, 1e-12)
-    j_rand, cand_rand = ggs_randomized_select(s, norms, 1e-12, np.random.default_rng(3))
+    j_det, cand_det = ggs_select(s, norms)
+    j_rand, cand_rand = ggs_randomized_select(s, norms, np.random.default_rng(3))
     assert j_det == j_rand == 1
     assert list(cand_det) == list(cand_rand)
 
@@ -164,7 +166,7 @@ def test_ggs_randomized_sampling_weights():
     draws = 10_000
     hits = 0
     for _ in range(draws):
-        j, _ = ggs_randomized_select(np.array([2.0, 2.0]), np.array([4.0, 1.0]), 1e-12, rng)
+        j, _ = ggs_randomized_select(np.array([2.0, 2.0]), np.array([4.0, 1.0]), rng)
         hits += j
     freq = hits / draws
     sigma = np.sqrt(0.8 * 0.2 / draws)
@@ -176,7 +178,7 @@ def test_ggs_randomized_uniform_on_full_tie():
     draws = 6000
     counts = np.zeros(3)
     for _ in range(draws):
-        j, _ = ggs_randomized_select(np.ones(3), np.ones(3), 1e-12, rng)
+        j, _ = ggs_randomized_select(np.ones(3), np.ones(3), rng)
         counts[j] += 1
     sigma = np.sqrt((1 / 3) * (2 / 3) / draws)
     assert np.all(np.abs(counts / draws - 1 / 3) < 3 * sigma + 1e-9)
@@ -208,7 +210,7 @@ def selection_cases():
 
 def test_ggs_select_matches_reference_selection():
     for s, norms in selection_cases():
-        j, cand = ggs_select(s, norms, 1e-12)
+        j, cand = ggs_select(s, norms)
         j_ref, cand_ref = ref_ggs_select(s, norms, 1e-12)
         assert j == j_ref
         assert cand.tobytes() == cand_ref.tobytes() and cand.dtype == cand_ref.dtype
@@ -218,7 +220,7 @@ def test_ggs_randomized_select_matches_reference_selection_and_rng_state():
     for i, (s, norms) in enumerate(selection_cases()):
         rng, rng_ref = np.random.default_rng(i), np.random.default_rng(i)
         for _ in range(3):
-            j, cand = ggs_randomized_select(s, norms, 1e-12, rng)
+            j, cand = ggs_randomized_select(s, norms, rng)
             j_ref, cand_ref = ref_ggs_randomized_select(s, norms, 1e-12, rng_ref)
             assert j == j_ref
             assert cand.tobytes() == cand_ref.tobytes()
@@ -231,9 +233,9 @@ def test_ggs_randomized_select_matches_reference_selection_and_rng_state():
     (np.array([1.0, 1.0]), np.array([1.0, 0.0]), ZeroColumn),
 ])
 def test_greedy_selections_raise_like_the_reference(s, norms, exc):
-    for select in (lambda: ggs_select(s, norms, 1e-12),
+    for select in (lambda: ggs_select(s, norms),
                    lambda: ref_ggs_select(s, norms, 1e-12),
-                   lambda: ggs_randomized_select(s, norms, 1e-12, np.random.default_rng(0)),
+                   lambda: ggs_randomized_select(s, norms, np.random.default_rng(0)),
                    lambda: ref_ggs_randomized_select(s, norms, 1e-12, np.random.default_rng(0))):
         with pytest.raises(exc):
             select()
@@ -424,6 +426,30 @@ def test_sparse_storage_reproduces_dense_trace(worked_csc):
            [rec.chosen_index for rec in r_sparse.trace]
     np.testing.assert_array_equal(r_dense.solution, r_sparse.solution)
 
+    # Any other storage is coerced to the canonical form of its kind when
+    # the problem is built, and then gives that form's trace bit for bit.
+    rng = np.random.default_rng(7)
+    D = rng.standard_normal((60, 6))
+    D[rng.random((60, 6)) > 0.5] = 0.0
+    for problem in (dense, make_consistent(sparse.csc_array(D), seed=8)):
+        A = problem.matrix.toarray() if sparse.issparse(problem.matrix) else problem.matrix
+        storages = (sparse.csc_array(A), sparse.csr_array(A), sparse.coo_array(A),
+                    np.asfortranarray(A), np.ascontiguousarray(A), A.tolist())
+        for method in Method:
+            config = SolverConfig(method=method, seed=2, record_trace=True)
+            canonical = {}  # sparse or not -> the report from the canonical form
+            for matrix in storages:
+                report = solve(dataclasses.replace(problem, matrix=matrix), config)
+                ref = canonical.setdefault(sparse.issparse(matrix), report)
+                assert report.iterations == ref.iterations
+                assert report.stop_reason is ref.stop_reason
+                assert report.trace == ref.trace
+                assert report.solution.tobytes() == ref.solution.tobytes()
+        csr = dataclasses.replace(problem, matrix=sparse.csr_array(A)).matrix
+        assert csr.format == "csc" and csr.has_canonical_format
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.matrix = csr
+
 
 def test_sparse_random_problem_converges():
     from scipy import sparse as sp
@@ -454,6 +480,17 @@ def test_removed_options_are_rejected():
         SolverConfig(tie_tolerance_rel=1e-9)
     with pytest.raises(TypeError):
         solve(worked_problem(), SolverConfig(), x0=np.zeros(2))
+    A = gen_gaussian(10, 3, seed=1)
+    for make in (make_consistent, make_inconsistent):
+        with pytest.raises(TypeError):
+            make(A, 1, label="x")
+    with pytest.raises(TypeError):
+        LsqProblem(matrix=A, rhs=np.ones(10), label="x")
+    s, norms = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    with pytest.raises(TypeError):
+        ggs_select(s, norms, 1e-12)
+    with pytest.raises(TypeError):
+        ggs_randomized_select(s, norms, 1e-12, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED])
@@ -480,7 +517,7 @@ def zero_column_probe():
 @pytest.mark.parametrize("method", list(Method))
 def test_zero_column_share_above_tol_raises_before_the_first_step(method, storage):
     problem = zero_column_probe()
-    problem.matrix = storage(problem.matrix)
+    problem = dataclasses.replace(problem, matrix=storage(problem.matrix))
     with pytest.raises(RankDeficient, match=r"cannot fall below 3\.016e-02 at iteration 0"):
         solve(problem, SolverConfig(method=method))
 
@@ -490,7 +527,7 @@ def test_zero_column_share_at_or_below_tol_solves(method):
     # Only the zero column's x_true entry is out of reach, and it is 0.
     problem = zero_column_probe()
     problem.known_solution[2] = 0.0
-    problem.rhs = problem.matrix @ problem.known_solution
+    problem = dataclasses.replace(problem, rhs=problem.matrix @ problem.known_solution)
     report = solve(problem, SolverConfig(method=method, seed=3))
     assert report.stop_reason is StopReason.RES_REACHED
     assert report.solution[2] == 0.0
@@ -506,8 +543,7 @@ def test_all_zero_matrix_with_known_solution_raises(method):
 
 @pytest.mark.parametrize("method", list(Method))
 def test_zero_column_without_known_solution_runs(method):
-    problem = zero_column_probe()
-    problem.known_solution = None
+    problem = dataclasses.replace(zero_column_probe(), known_solution=None)
     report = solve(problem, SolverConfig(method=method, seed=2))
     assert report.stop_reason is StopReason.GRADIENT_REACHED
     assert report.solution[2] == 0.0
@@ -647,30 +683,39 @@ def test_gradient_stop_holds_for_a_fresh_gradient(method):
 # ---------------------------------------------------------------------------
 
 def _non_finite_problem(case):
-    """A 50x5 Gaussian problem with no known solution, scaled by ``case``
-    or with one NaN in A or one inf in b."""
+    """A 50x5 Gaussian problem with no known solution, scaled by ``case``,
+    or with one NaN in A, one inf in b, or a known solution holding one
+    NaN or one inf."""
     rng = np.random.default_rng(81)
     A = rng.standard_normal((50, 5))
     b = rng.standard_normal(50)
+    x_star = None
     if case == "nan_in_A":
         A[3, 2] = np.nan
     elif case == "inf_in_b":
         b[7] = np.inf
+    elif case in ("nan_in_x_star", "inf_in_x_star"):
+        x_star = np.ones(5)
+        x_star[1] = np.nan if case == "nan_in_x_star" else np.inf
     else:
         A, b = A * case, b * case
-    return LsqProblem(matrix=np.asfortranarray(A), rhs=b)
+    return LsqProblem(matrix=np.asfortranarray(A), rhs=b, known_solution=x_star)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("case", [1e100, 1e150, 1e200, "nan_in_A", "inf_in_b"])
+@pytest.mark.parametrize("case", [1e100, 1e150, 1e200, "nan_in_A", "inf_in_b",
+                                  "nan_in_x_star", "inf_in_x_star"])
 @pytest.mark.parametrize("method", list(Method))
 def test_non_finite_input_never_reports_convergence(method, case):
     config = SolverConfig(method=method, max_iterations=2000)
+    problem = _non_finite_problem(case)
     try:
-        report = solve(_non_finite_problem(case), config)
+        report = solve(problem, config)
     except GreedyLsqError:
         return
     assert report.stop_reason is not StopReason.ITERATION_CAP
+    # A solve with a known solution stops on res, never on the gradient rule.
+    assert problem.known_solution is None or report.stop_reason is StopReason.RES_REACHED
     assert np.isfinite(report.final_res)
     assert report.final_res <= config.res_tolerance
 
@@ -683,6 +728,9 @@ def test_non_finite_error_names_the_quantity():
         solve(_non_finite_problem("inf_in_b"), SolverConfig())
     with pytest.raises(NonFiniteValue, match=r"A\^T b"):
         solve(_non_finite_problem(1e150), SolverConfig())
+    for case in ("nan_in_x_star", "inf_in_x_star"):
+        with pytest.raises(NonFiniteValue, match="known solution"):
+            solve(_non_finite_problem(case), SolverConfig())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
