@@ -37,7 +37,7 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if not self.methods:
             raise ValueError("methods must be nonempty")
-        self.methods = [Method(m) for m in self.methods]
+        self.methods = list(dict.fromkeys(Method(m) for m in self.methods))  # dedupe, keep order
 
 
 @dataclass

@@ -27,7 +27,6 @@ from .problems import (
     save_vector,
 )
 from .solvers import Method, SolverConfig, StopReason, solve
-from .validation import is_sparse
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,7 +54,7 @@ def _checked(kind, ok, rule):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
-_TOL = _checked(float, lambda v: v > 0.0, "must be positive")
+_TOL = _checked(float, lambda v: 0.0 < v < float("inf"), "must be positive and finite")
 _SEED = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 
 
@@ -311,7 +310,7 @@ def cmd_gen(args, parser):
     print(f"matrix: {matrix_path}")
     print(f"rhs: {rhs_path}")
     print(f"solution: {solution_path}")
-    print(f"consistent: {str(problem.consistent).lower()}")
+    print(f"consistent: {str(not args.inconsistent).lower()}")
     return EXIT_OK
 
 
@@ -320,7 +319,7 @@ def cmd_info(args, parser):
     m, n = A.shape
     print(f"rows: {m}")
     print(f"cols: {n}")
-    print(f"nnz: {A.nnz if is_sparse(A) else m * n}")
+    print(f"nnz: {A.nnz}")
     print(f"density: {100.0 * matrix_density(A):.2f}%")
     try:
         cond = assert_full_column_rank(A)

@@ -11,7 +11,7 @@ import numpy as np
 from .linalg import matvec
 from .problems import LsqProblem
 from .solvers import Method, SolverConfig, solve
-from .validation import as_matrix, as_vector
+from .validation import as_vector, is_sparse
 
 
 class BaseCoordinateDescent:
@@ -64,8 +64,13 @@ class BaseCoordinateDescent:
             raise RuntimeError(f"{type(self).__name__} is not fitted yet; call fit first")
 
     def predict(self, X):
+        """X @ coef_ in X's own storage: a dense X is not copied to column-major order."""
         self._check_fitted()
-        return matvec(as_matrix(X), self.coef_)
+        if not is_sparse(X):
+            X = np.asarray(X, dtype=np.float64)
+            if X.ndim != 2:
+                raise ValueError(f"expected a 2-D matrix, got ndim={X.ndim}")
+        return matvec(X, self.coef_)
 
     def score(self, X, y):
         """Coefficient of determination R^2 of the prediction."""

@@ -6,7 +6,7 @@ its seed on any platform.  Sparse matrices come in through MatrixMarket
 files; benchmark inputs are described by a small plain-text manifest.
 """
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -30,17 +30,18 @@ class LsqProblem:
     sparse matrix is stored as column-major float64 or canonical CSC, rhs
     and the known solution as float64 vectors of matching length.  Frozen;
     ``dataclasses.replace`` builds a changed problem and coerces again.
+    ``density`` is derived from the stored matrix, never passed in.
     """
 
     matrix: object
     rhs: np.ndarray
     known_solution: np.ndarray | None = None
-    consistent: bool = False
-    density: float = 1.0
+    density: float = field(init=False)
 
     def __post_init__(self):
         A = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "density", matrix_density(A))
         object.__setattr__(self, "rhs", as_vector(self.rhs, size=A.shape[0], name="rhs"))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution", as_vector(
@@ -70,13 +71,7 @@ def make_consistent(A, seed):
     A = as_matrix(A)
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(A.shape[1])
-    return LsqProblem(
-        matrix=A,
-        rhs=matvec(A, x_true),
-        known_solution=x_true,
-        consistent=True,
-        density=matrix_density(A),
-    )
+    return LsqProblem(matrix=A, rhs=matvec(A, x_true), known_solution=x_true)
 
 
 def make_inconsistent(A, seed):
@@ -102,13 +97,7 @@ def make_inconsistent(A, seed):
     z = rng.standard_normal(m)
     r0 = z - matvec(A, cho_solve((gram, lower), transpose_matvec(A, z)))
 
-    return LsqProblem(
-        matrix=A,
-        rhs=matvec(A, x_true) + r0,
-        known_solution=x_true,
-        consistent=False,
-        density=matrix_density(A),
-    )
+    return LsqProblem(matrix=A, rhs=matvec(A, x_true) + r0, known_solution=x_true)
 
 
 def _gram_factor(A):

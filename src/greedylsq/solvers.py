@@ -116,8 +116,8 @@ class SolverConfig:
             self.method = Method(self.method)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.res_tolerance <= 0.0:
-            raise ValueError("res_tolerance must be positive")
+        if not 0.0 < self.res_tolerance < np.inf:
+            raise ValueError("res_tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

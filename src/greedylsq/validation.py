@@ -23,11 +23,16 @@ def as_dense_matrix(A):
 
 
 def as_csc_matrix(A):
-    """Coerce to canonical CSC: float64, sorted indices, duplicates summed, no stored zeros."""
+    """Coerce to canonical CSC: float64, sorted indices, duplicates summed, no stored zeros.
+
+    Never writes to ``A``: a CSC input may share its arrays with the result,
+    so a non-canonical one is copied before it is canonicalised in place.
+    """
     M = sparse.csc_array(A, dtype=np.float64)
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    M.sort_indices()
+    if not (M.has_canonical_format and M.data.all()):
+        M = M.copy()
+        M.sum_duplicates()  # sorts the indices first
+        M.eliminate_zeros()
     if M.shape[0] < 1 or M.shape[1] < 1:
         raise ValueError(f"matrix must have at least one row and column, got {M.shape}")
     return M

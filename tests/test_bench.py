@@ -32,6 +32,15 @@ def test_spec_validation():
     assert spec.methods == [Method.GGS, Method.GRCD]
 
 
+def test_duplicate_methods_run_once():
+    spec = ExperimentSpec(problem=random_entry(m=40, n=4), methods=["grcd", "ggs", "grcd", "ggs"],
+                          repeats=2)
+    assert spec.methods == [Method.GRCD, Method.GGS]
+    result = run_experiment(spec)
+    assert [(rec.trial, rec.method) for rec in result.trials] == [
+        (0, Method.GRCD), (0, Method.GGS), (1, Method.GRCD), (1, Method.GGS)]
+
+
 def test_trial_problem_shared_and_deterministic():
     entry = random_entry(m=60, n=6)
     p1 = build_trial_problem(entry, base_seed=5, trial=2)

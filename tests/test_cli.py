@@ -210,6 +210,7 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     ["bench", "{manifest}", "--repeats", "0"],
     ["bench", "{manifest}", "--methods", "ggs,foo"],
     ["bench", "{manifest}", "--methods", ","],
+    ["solve", "--random", "20", "4", "1", "--consistent", "--tol", "inf"],
 ])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv):
     manifest = tmp_path / "manifest.txt"
@@ -248,6 +249,13 @@ def test_verify_bounds_csv_row(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("label,lambda_min")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("flag, consistent", [("--consistent", "true"), ("--inconsistent", "false")])
+def test_gen_reports_which_rhs_it_wrote(tmp_path, capsys, flag, consistent):
+    code, out, _ = run_cli(capsys, "gen", "--random", "40", "4", "9", flag, "--out", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[-1] == f"consistent: {consistent}"
 
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):

@@ -50,6 +50,16 @@ def test_sparse_input_accepted(worked_csc, worked_rhs):
     assert np.array_equal(est.coef_, [1.0, 1.0])
 
 
+def test_predict_computes_in_the_input_order():
+    A = gen_gaussian(300, 6, seed=5)
+    est = GreedyGaussSeidel().fit(A, make_consistent(A, seed=6).rhs)
+    X = np.ascontiguousarray(A)
+    assert np.array_equal(est.predict(X), X @ est.coef_)
+    assert np.array_equal(est.predict(X.tolist()), X @ est.coef_)
+    with pytest.raises(ValueError, match="2-D"):
+        est.predict(X[0])
+
+
 def test_predict_before_fit_raises():
     with pytest.raises(RuntimeError):
         GreedyGaussSeidel().predict(np.eye(2))

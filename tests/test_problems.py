@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from conftest import data_path
 
+from greedylsq.estimators import GreedyGaussSeidel
 from greedylsq.exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from greedylsq.linalg import column_norms_sq, matvec, transpose_matvec
 from greedylsq.problems import (
@@ -24,6 +26,7 @@ from greedylsq.problems import (
     save_vector,
 )
 from greedylsq.solvers import Method, SolverConfig, StopReason, solve
+from greedylsq.validation import as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,6 @@ def test_make_consistent_exact_rhs():
     problem = make_consistent(A, seed=12)
     resid = problem.rhs - matvec(A, problem.known_solution)
     assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(problem.rhs)
-    assert problem.consistent
 
 
 def test_make_consistent_identity():
@@ -72,7 +74,6 @@ def test_make_inconsistent_null_space_component():
     assert np.linalg.norm(r0) > 0.0
     bound = 1e-10 * np.sqrt(column_norms_sq(A).sum()) * np.linalg.norm(r0)
     assert np.linalg.norm(transpose_matvec(A, r0)) <= bound
-    assert not problem.consistent
 
 
 def test_make_inconsistent_solution_is_least_squares():
@@ -329,6 +330,56 @@ def test_density():
     assert matrix_density(M) == pytest.approx(2 / 6)
     assert 0.0 < matrix_density(M) <= 1.0
     assert matrix_density(np.eye(3)) == 1.0
+
+
+def test_density_is_derived_from_the_stored_matrix():
+    M = sparse.random_array((20, 5), density=0.3, format="csc", rng=np.random.default_rng(1))
+    problem = make_consistent(M, seed=2)
+    assert problem.density == pytest.approx(0.3)
+    assert dataclasses.replace(problem, matrix=M.toarray()).density == 1.0
+    with pytest.raises(ValueError):  # a derived field cannot be replaced
+        dataclasses.replace(problem, density=0.5)
+
+
+def _coercion_inputs():
+    dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0], [0.0, 6.0, 0.0]])
+
+    def csc(data, indices, indptr):
+        return sparse.csc_array((np.array(data), np.array(indices), np.array(indptr)), shape=(4, 3))
+
+    # The same 4x3 matrix as non-canonical CSC: an explicit zero at (1, 0);
+    # (2, 0) split into the duplicates 1 + 3; column 2's rows unsorted.
+    explicit_zero = csc([1.0, 0.0, 4.0, 3.0, 6.0, 2.0, 5.0], [0, 1, 2, 1, 3, 0, 2], [0, 3, 5, 7])
+    duplicate = csc([1.0, 1.0, 3.0, 3.0, 6.0, 2.0, 5.0], [0, 2, 2, 1, 3, 0, 2], [0, 3, 5, 7])
+    unsorted = csc([1.0, 4.0, 3.0, 6.0, 5.0, 2.0], [0, 2, 1, 3, 2, 0], [0, 2, 4, 6])
+    return [np.ascontiguousarray(dense), np.asfortranarray(dense), dense.astype(np.int64),
+            dense.tolist(), sparse.csc_array(dense), explicit_zero, duplicate, unsorted,
+            sparse.csr_array(dense), sparse.coo_array(dense)]
+
+
+def _arrays_of(M):
+    if isinstance(M, list):
+        return [np.array(M).tobytes()]
+    if sparse.issparse(M):
+        names = ("row", "col", "data") if M.format == "coo" else ("indptr", "indices", "data")
+        return [getattr(M, name).tobytes() for name in names] + [M.nnz]
+    return [M.tobytes(), M.flags.f_contiguous]
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_coercion_never_writes_to_its_input(index):
+    M = _coercion_inputs()[index]
+    before = _arrays_of(M)
+    A = as_matrix(M)
+    if sparse.issparse(A):  # canonical CSC of a matrix is unique
+        want = _coercion_inputs()[4]
+        assert all(np.array_equal(getattr(A, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
+    else:
+        assert np.array_equal(A, _coercion_inputs()[0])
+    LsqProblem(matrix=M, rhs=np.ones(4))
+    make_consistent(M, seed=1)
+    GreedyGaussSeidel(max_iter=50).fit(M, np.ones(4))
+    assert _arrays_of(M) == before
 
 
 # ---------------------------------------------------------------------------

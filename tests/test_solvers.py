@@ -33,7 +33,7 @@ from greedylsq.solvers import (
 def worked_problem():
     A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], order="F")
     return LsqProblem(matrix=A, rhs=np.array([1.0, 2.0, 3.0]),
-                      known_solution=np.array([1.0, 1.0]), consistent=True)
+                      known_solution=np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +467,9 @@ def test_sparse_random_problem_converges():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(res_tolerance=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(res_tolerance=tol)
     assert SolverConfig(method="grcd").method is Method.GRCD
     defaults = SolverConfig()
     assert defaults.max_iterations == 200_000
@@ -484,8 +485,9 @@ def test_removed_options_are_rejected():
     for make in (make_consistent, make_inconsistent):
         with pytest.raises(TypeError):
             make(A, 1, label="x")
-    with pytest.raises(TypeError):
-        LsqProblem(matrix=A, rhs=np.ones(10), label="x")
+    for removed in ({"label": "x"}, {"consistent": True}, {"density": 0.5}):
+        with pytest.raises(TypeError):
+            LsqProblem(matrix=A, rhs=np.ones(10), **removed)
     s, norms = np.array([1.0, 2.0, 3.0]), np.ones(3)
     with pytest.raises(TypeError):
         ggs_select(s, norms, 1e-12)
