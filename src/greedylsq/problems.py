@@ -153,8 +153,7 @@ def load_matrix_market(path):
         ParseError: malformed content, with the offending line number.
         UnsupportedField: complex or hermitian files.
     """
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    lines, nos = _numbered_lines(path, "%")
     if not lines:
         raise ParseError("empty file", 1)
 
@@ -175,122 +174,106 @@ def load_matrix_market(path):
     if mm_format == "array" and mm_field == "pattern":
         raise ParseError("array format cannot use the pattern field", 1)
 
-    # Line numbers of everything past comments and blanks.
-    body = [no for no, ln in enumerate(lines[1:], start=2) if (s := ln.lstrip()) and s[0] != "%"]
-    if not body:
+    # The header is a comment line, so the size line is the first of nos.
+    if not nos:
         raise ParseError("missing size line", len(lines))
-
-    size_no, entry_nos = body[0], body[1:]
-    size_line = lines[size_no - 1]
-    entries = [lines[no - 1] for no in entry_nos]
-    if mm_format == "coordinate":
-        rows, cols, vals, shape = _parse_coordinate(size_no, size_line, entry_nos, entries, mm_field)
-    else:
-        rows, cols, vals, shape = _parse_array(size_no, size_line, entry_nos, entries, mm_symmetry)
-
-    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, size_no)
-    M = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsc()
-    return as_csc_matrix(M)
-
-
-# Columns of a coordinate entry line; an array line holds the value alone.
-_ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
-
-
-def _read_columns(entries, fields):
-    """Parse every entry line in one call, one array per field.
-
-    Returns None when a line has the wrong number of fields or a token
-    does not parse; the caller then rescans line by line to name it.
-    numpy's parsers accept no token that ``int`` and ``float`` reject,
-    and round every value as ``float`` does.
-    """
-    if not entries:
-        return None
-    try:
-        return np.loadtxt(entries, dtype=fields, comments=None, ndmin=1, unpack=True)
-    except ValueError:
-        return None
-
-
-def _parse_coordinate(size_no, size_line, entry_nos, entries, mm_field):
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise ParseError("coordinate size line needs 'rows cols nnz'", size_no)
-    try:
-        m, n, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad size line {size_line!r}", size_no) from None
-    if m < 1 or n < 1 or nnz < 0:
-        raise ParseError(f"bad dimensions {m} x {n} with {nnz} entries", size_no)
-    if len(entries) != nnz:
-        where = entry_nos[-1] if entry_nos else size_no
-        raise ParseError(f"expected {nnz} entries, found {len(entries)}", where)
-
-    pattern = mm_field == "pattern"
-    columns = _read_columns(entries, _ENTRY_FIELDS[:2] if pattern else _ENTRY_FIELDS)
-    if columns is not None:
-        i, j = columns[0], columns[1]
-        if np.all((1 <= i) & (i <= m) & (1 <= j) & (j <= n)):
-            return i - 1, j - 1, np.ones(nnz) if pattern else columns[2], (m, n)
-
-    want = 2 if pattern else 3
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for k, (no, ln) in enumerate(zip(entry_nos, entries)):
-        parts = ln.split()
-        if len(parts) != want:
-            raise ParseError(f"expected {want} fields, got {len(parts)}", no)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            v = 1.0 if pattern else float(parts[2])
-        except ValueError:
-            raise ParseError(f"bad entry {ln!r}", no) from None
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ParseError(f"index ({i}, {j}) outside {m} x {n}", no)
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
-    return rows, cols, vals, (m, n)
-
-
-def _parse_array(size_no, size_line, entry_nos, entries, mm_symmetry):
-    parts = size_line.split()
-    if len(parts) != 2:
-        raise ParseError("array size line needs 'rows cols'", size_no)
-    try:
-        m, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad size line {size_line!r}", size_no) from None
-    if m < 1 or n < 1:
-        raise ParseError(f"bad dimensions {m} x {n}", size_no)
+    size_no, entry_nos = nos[0], nos[1:]
+    m, n, *nnz = _read_size(lines[size_no - 1], size_no, mm_format)
     if mm_symmetry != "general" and m != n:
         raise ParseError(f"{mm_symmetry} storage needs a square matrix", size_no)
 
-    # Values are stored column by column: all of them, the lower triangle
-    # (symmetric) or the strict lower triangle (skew-symmetric).
-    count = {"general": m * n, "symmetric": n * (n + 1) // 2, "skew-symmetric": n * (n - 1) // 2}
-    if len(entries) != count[mm_symmetry]:
-        where = entry_nos[-1] if entry_nos else size_no
-        raise ParseError(f"expected {count[mm_symmetry]} values, found {len(entries)}", where)
-    cols, rows = np.indices((n, m)).reshape(2, -1)
-    if mm_symmetry != "general":
-        keep = rows >= cols + (mm_symmetry == "skew-symmetric")
-        rows, cols = rows[keep], cols[keep]
+    if mm_format == "coordinate":
+        _check_count(entry_nos, nnz[0], "entries", size_no)
+        pattern = mm_field == "pattern"
+        i, j, *v = _read_columns(entry_nos, lines, _ENTRY_FIELDS[:2] if pattern else _ENTRY_FIELDS, "entry")
+        outside = (i < 1) | (i > m) | (j < 1) | (j > n)
+        if outside.any():
+            k = outside.argmax()
+            raise ParseError(f"index ({i[k]}, {j[k]}) outside {m} x {n}", entry_nos[k])
+        rows, cols, vals = i - 1, j - 1, v[0] if v else np.ones(len(i))
+    else:
+        # Values are stored column by column: all of them, the lower triangle
+        # (symmetric) or the strict lower triangle (skew-symmetric).
+        count = {"general": m * n, "symmetric": n * (n + 1) // 2, "skew-symmetric": n * (n - 1) // 2}
+        _check_count(entry_nos, count[mm_symmetry], "values", size_no)
+        cols, rows = np.indices((n, m)).reshape(2, -1)
+        if mm_symmetry != "general":
+            keep = rows >= cols + (mm_symmetry == "skew-symmetric")
+            rows, cols = rows[keep], cols[keep]
+        (vals,) = _read_columns(entry_nos, lines, _ENTRY_FIELDS[2:], "value")
 
-    columns = _read_columns(entries, _ENTRY_FIELDS[2:])
-    if columns is not None:
-        return rows, cols, columns[0], (m, n)
+    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, size_no)
+    M = sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc()
+    return as_csc_matrix(M)
 
-    vals = np.empty(len(entries))
-    for k, (no, ln) in enumerate(zip(entry_nos, entries)):
-        parts = ln.split()
-        if len(parts) != 1:
-            raise ParseError(f"expected one value per line, got {ln!r}", no)
+
+def _numbered_lines(path, comments):
+    """The file's lines, and the 1-based numbers of those that hold data:
+    neither blank nor starting (past blanks) with a character of ``comments``."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    return lines, [no for no, ln in enumerate(lines, start=1) if (s := ln.lstrip()) and s[0] not in comments]
+
+
+# The largest size a file may declare: scipy indexes with int64.
+_SIZE_MAX = np.iinfo(np.int64).max
+
+
+def _read_size(line, no, mm_format):
+    """The size line's integers: 'rows cols nnz' (coordinate) or 'rows cols' (array)."""
+    names = "rows cols nnz" if mm_format == "coordinate" else "rows cols"
+    parts = line.split()
+    if len(parts) != len(names.split()):
+        raise ParseError(f"{mm_format} size line needs {names!r}", no)
+    try:
+        sizes = [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(f"bad size line {line.strip()!r}", no) from None
+    m, n, *nnz = sizes
+    if min(m, n) < 1 or min(sizes) < 0 or max(sizes) > _SIZE_MAX:
+        entries = f" with {nnz[0]} entries" if nnz else ""
+        raise ParseError(f"bad dimensions {m} x {n}{entries}", no)
+    return sizes
+
+
+def _check_count(nos, want, noun, size_no):
+    """Raise at the last data line (the size line if none) unless there are ``want``."""
+    if len(nos) != want:
+        raise ParseError(f"expected {want} {noun}, found {len(nos)}", nos[-1] if nos else size_no)
+
+
+# Columns of a coordinate entry line; an array or vector line holds the value alone.
+_ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
+
+
+def _read_columns(nos, lines, fields, noun):
+    """Parse the numbered lines into one array per field.
+
+    numpy parses the whole body in one call.  If it refuses, one rescan
+    with ``int`` and ``float`` parses line by line: it accepts what they
+    accept (underscores between digits, which numpy rejects) and names the
+    first line they cannot read.  numpy accepts no token that ``int`` and
+    ``float`` reject, and rounds every value as ``float`` does.
+    """
+    if nos:  # np.loadtxt warns on an empty body
         try:
-            vals[k] = float(parts[0])
+            return np.loadtxt([lines[no - 1] for no in nos], dtype=fields, comments=None, ndmin=1, unpack=True)
         except ValueError:
-            raise ParseError(f"bad value {ln!r}", no) from None
-    return rows, cols, vals, (m, n)
+            pass
+    columns = [np.empty(len(nos), dtype=dtype) for _, dtype in fields]
+    parsers = [int if dtype is np.int64 else float for _, dtype in fields]
+    for k, no in enumerate(nos):
+        text = lines[no - 1].strip()
+        parts = text.split()
+        if len(parts) != len(fields):
+            raise ParseError(f"expected {len(fields)} fields, got {len(parts)}" if len(fields) > 1
+                             else f"expected one value per line, got {text!r}", no)
+        try:
+            for column, parse, part in zip(columns, parsers, parts):
+                column[k] = parse(part)
+        except (ValueError, OverflowError):  # an int beyond int64 does not store
+            raise ParseError(f"bad {noun} {text!r}", no) from None
+    return columns
 
 
 def _expand_symmetry(rows, cols, vals, mm_symmetry, size_no):
@@ -307,6 +290,11 @@ def _expand_symmetry(rows, cols, vals, mm_symmetry, size_no):
     )
 
 
+def _value_lines(values):
+    """One line per value with all 17 significant digits, so a load round-trips exactly."""
+    return "".join("%.17g\n" % v for v in values.tolist())
+
+
 def save_matrix_market(A, path):
     """Write a matrix back out: coordinate format for sparse storage,
     array format for dense.  Full float precision, so a load round-trips
@@ -321,32 +309,22 @@ def save_matrix_market(A, path):
             (coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist()))
     else:
         kind, size = "array", f"{A.shape[0]} {A.shape[1]}"
-        body = "".join("%.17g\n" % v for v in np.asarray(A).ravel(order="F").tolist())
+        body = _value_lines(np.asarray(A).ravel(order="F"))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix {kind} real general\n{size}\n{body}")
 
 
 def load_vector(path):
     """Read a one-value-per-line vector file ('#' and '%' start comments)."""
-    values = []
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for no, ln in enumerate(fh, start=1):
-            text = ln.strip()
-            if not text or text.startswith(("#", "%")):
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ParseError(f"bad vector entry {text!r}", no) from None
-    if not values:
+    lines, nos = _numbered_lines(path, "#%")
+    if not nos:
         raise ParseError("vector file has no values", 1)
-    return np.asarray(values)
+    return _read_columns(nos, lines, _ENTRY_FIELDS[2:], "vector entry")[0]
 
 
 def save_vector(v, path):
     with open(path, "w", encoding="ascii") as fh:
-        for value in np.asarray(v, dtype=np.float64):
-            fh.write(f"{value:.17g}\n")
+        fh.write(_value_lines(np.asarray(v, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------

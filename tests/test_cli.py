@@ -258,6 +258,14 @@ def test_gen_reports_which_rhs_it_wrote(tmp_path, capsys, flag, consistent):
     assert out.splitlines()[-1] == f"consistent: {consistent}"
 
 
+def test_gen_writes_vectors_at_full_precision(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "gen", "--random", "4", "2", "9", "--consistent", "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "rhs.txt").read_text() == (
+        "0.67992667697106124\n1.4914765411188446\n-1.0294480899210359\n-0.14655069110756477\n")
+    assert (tmp_path / "solution.txt").read_text() == "-0.67387141928473215\n0.57203156112751885\n"
+
+
 def test_gen_and_solve_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "gen"
     code, out, _ = run_cli(capsys, "gen", "--random", "40", "4", "9", "--consistent",
@@ -356,7 +364,8 @@ def test_non_finite_matrix_exits_1_with_one_line(tmp_path, capsys, command, opti
 _NO_TRACEBACK_CASES = [
     # (argv, exit code); paths are relative to a directory holding
     # fixture3x2.mtx, b2.txt (2 values), small.txt, neg.txt (seed -1),
-    # an empty directory adir and an existing file afile.
+    # an empty directory adir, an existing file afile and nonsquare.mtx
+    # (3x2 with symmetric storage).
     (["solve", "--random", "40", "4", "1", "--consistent", "--seed", "-1"], 64),
     (["solve", "--random", "40", "4", "1", "--consistent", "--method", "grcd",
       "--seed", "-1"], 64),
@@ -378,6 +387,7 @@ _NO_TRACEBACK_CASES = [
     (["verify-bounds", "missing.mtx"], 66),
     (["info", "missing.mtx"], 66),
     (["bench", "missing.txt"], 66),
+    (["info", "nonsquare.mtx"], 1),
 ]
 
 
@@ -390,6 +400,7 @@ def test_cli_failure_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsy
     (tmp_path / "neg.txt").write_text("row random:40x4 consistent -1\n")
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("")
+    (tmp_path / "nonsquare.mtx").write_text("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n")
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
     assert code == want

@@ -223,6 +223,14 @@ def test_parse_errors_carry_line_numbers():
     ("array real general\n2 1\n1.0\n\n2.0 3.0\n", 5, "expected one value per line"),
     ("array real general\n2 1\n1.0\n% c\nnope\n", 5, "bad value 'nope'"),
     ("array real symmetric\n2 2\n1.0\n2.0\n", 4, "expected 3 values, found 2"),
+    # Symmetric storage needs a square matrix in either format.
+    ("coordinate real symmetric\n3 2 1\n3 1 1.0\n", 2, "symmetric storage needs a square matrix"),
+    ("coordinate real skew-symmetric\n3 2 1\n2 1 1.0\n", 2,
+     "skew-symmetric storage needs a square matrix"),
+    # Sizes and indices beyond int64.
+    ("coordinate real general\n99999999999999999999 2 1\n1 1 1.0\n", 2,
+     "bad dimensions 99999999999999999999 x 2 with 1 entries"),
+    ("coordinate real general\n2 2 2\n1 1 1.0\n99999999999999999999 1 5.0\n", 4, "99999999999999999999"),
 ])
 def test_parse_errors_name_the_line_past_comments(tmp_path, text, line_number, message):
     path = tmp_path / "bad.mtx"
@@ -262,6 +270,7 @@ def test_load_accepts_what_python_parses(tmp_path):
     ("skew.mtx", (3, 3), [0, 2, 3, 4], [1, 2, 0, 0], [1.5, -2.0, -1.5, 2.0]),
     ("array2x2.mtx", (2, 2), [0, 1, 3], [0, 0, 1], [1.0, 3.5, 4.0]),
     ("array_symmetric.mtx", (2, 2), [0, 2, 4], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0]),
+    ("empty.mtx", (2, 3), [0, 0, 0, 0], [], []),
 ])
 def test_load_fixtures_to_exact_csc(name, shape, indptr, indices, data):
     M = load_matrix_market(data_path(name))
@@ -399,6 +408,12 @@ def test_load_vector_comments_and_errors(tmp_path):
     assert np.array_equal(load_vector(path), [1.0, 2.0])
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0\nnope\n")
+    with pytest.raises(ParseError) as err:
+        load_vector(bad)
+    assert "line 2" in str(err.value)
+    path.write_text("1_0.5\n")  # underscores between digits, as float() reads them
+    assert np.array_equal(load_vector(path), [10.5])
+    bad.write_text("1.0\n1.0 2.0\n")
     with pytest.raises(ParseError) as err:
         load_vector(bad)
     assert "line 2" in str(err.value)

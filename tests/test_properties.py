@@ -1,17 +1,19 @@
-"""Property tests of the solve loop on small generated problems.
+"""Property tests of the solve loop on small generated problems, and of
+the MatrixMarket reader on small generated files.
 
-Each example is a seeded Gaussian matrix, optionally thinned to a sparse
-pattern (every column keeps at least one entry), solved in dense
+Each solve example is a seeded Gaussian matrix, optionally thinned to a
+sparse pattern (every column keeps at least one entry), solved in dense
 column-major storage and as a CSC copy.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from greedylsq.exceptions import GreedyLsqError, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
-from greedylsq.problems import LsqProblem
+from greedylsq.problems import LsqProblem, load_matrix_market
 from greedylsq.solvers import Method, SolverConfig, StopReason, solve, step
 
 # Fewer steps than a drift checkpoint, so replaying the chosen columns
@@ -166,3 +168,64 @@ def test_degenerate_input_never_claims_false_convergence(prob, seed):
             assert report.final_res <= config.res_tolerance
     if not A.any(axis=0).all():
         assert len(outcomes) == 1, outcomes
+
+
+# Tokens a well-formed body never holds: some parse (underscores, NaN,
+# overflow to inf, out-of-range or non-integer indices), some do not
+# (indices beyond int64, words, hex, a comment character).
+_ODD_TOKENS = ["1_0", "2_5.0", "nan", "-inf", "1e400", "0", "-1", "1.5", "99999999999999999999",
+               "-99999999999999999999", "x", "0x1", "%"]
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """A MatrixMarket text of every format, field and symmetry with 1-3
+    rows and columns: a body whose indices lie inside the declared shape,
+    with at most one token, field count or entry count made wrong."""
+    fmt = draw(st.sampled_from(["coordinate", "array"]))
+    field = draw(st.sampled_from(["real", "integer", "pattern", "complex"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric", "skew-symmetric", "hermitian"]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    value = st.sampled_from(["1", "-2.5", "0", "3e-1", "7"])
+    if fmt == "coordinate":
+        count = draw(st.integers(0, 4))
+        lines = [[str(m), str(n), str(count)]] + [
+            [str(draw(st.integers(1, m))), str(draw(st.integers(1, n)))]
+            + ([] if field == "pattern" else [draw(value)]) for _ in range(count)]
+    else:
+        count = draw(st.sampled_from([m * n, n * (n + 1) // 2, n * (n - 1) // 2]))
+        lines = [[str(m), str(n)]] + [[draw(value)] for _ in range(count)]
+
+    fault = draw(st.sampled_from(["none", "token", "extra field", "missing field", "extra line"]))
+    row = draw(st.integers(0, len(lines) - 1))
+    if fault == "token":
+        lines[row][draw(st.integers(0, len(lines[row]) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    elif fault == "extra field":
+        lines[row].append(draw(value))
+    elif fault == "missing field":
+        lines[row].pop()
+    elif fault == "extra line":
+        lines.append(list(lines[row]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), [draw(st.sampled_from(["%", "% note", ""]))])
+    body = "".join(" ".join(line) + "\n" for line in lines)
+    return f"%%MatrixMarket matrix {fmt} {field} {symmetry}\n{body}"
+
+
+@pytest.fixture(scope="module")
+def mtx_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "matrix.mtx"
+
+
+# Reading a small file takes about a millisecond, a tenth of a small
+# solve, so this test runs ten times the profile's examples.
+@settings(PROPERTY_SETTINGS, max_examples=10 * settings.default.max_examples)
+@given(text=matrix_market_texts())
+def test_a_matrix_file_loads_as_canonical_csc_or_names_its_fault(mtx_path, text):
+    mtx_path.write_text(text)
+    try:
+        M = load_matrix_market(mtx_path)
+    except GreedyLsqError:
+        return
+    assert M.format == "csc" and M.has_canonical_format
+    assert not np.any(M.data == 0.0)
