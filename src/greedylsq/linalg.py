@@ -20,13 +20,20 @@ def column_norms_sq(A):
 
     For dense input this equals (A * A).sum(axis=0) bit for bit: a
     column-major float64 matrix is squared block by block into one small
-    buffer, and each column is still one contiguous pairwise sum.
+    buffer, and each column is still one contiguous pairwise sum.  For CSC
+    input each entry equals the sum of the column's squared stored values
+    taken as one slice, bit for bit: the columns with c stored entries are
+    gathered into one row-major block of c columns and summed along its
+    rows, which is the same pairwise sum.
     """
     if is_sparse(A):
         sq = A.data * A.data
+        counts = np.diff(A.indptr)
+        order = np.argsort(counts)
         out = np.empty(A.shape[1])
-        for j in range(A.shape[1]):
-            out[j] = sq[A.indptr[j]:A.indptr[j + 1]].sum()
+        for cols in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+            block = A.indptr[cols][:, None] + np.arange(counts[cols[0]])
+            out[cols] = sq[block].sum(axis=1)
         return out
     if A.dtype != np.float64 or not A.flags.f_contiguous:
         return (A * A).sum(axis=0)

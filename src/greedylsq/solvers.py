@@ -16,19 +16,21 @@ column is selected:
   norm, independent of the residual.
 
 Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
-which zeroes the gradient entry of the chosen column.  The residual is
-maintained incrementally (one column axpy per step).  The gradient
-s = A^T r, when a method, the trace or the stopping rule needs it, is
-kept current the same way: s -= alpha * G[j] with the dense Gram matrix
-G = A^T A built once per solve.  It is recomputed fresh from A^T r at the
-start, at every drift checkpoint, whenever its largest entry has fallen
-by GRADIENT_FALL_REFRESH since its last fresh value, at every step once
-that entry is below GRADIENT_ROUNDING_LEVEL times its initial value, and
-before a stop on the gradient rule or at the iteration cap in
+which zeroes the gradient entry of the chosen column.  The gradient
+s = A^T r, when a method, the trace or the stopping rule needs it, comes
+with the dense Gram matrix G = A^T A built once per solve, and the loop
+then keeps x and s only: alpha = s[j] / ||A[:, j]||^2 and s -= alpha * G[j],
+O(n) per step with no pass over A.  s is recomputed fresh as A^T (b - A x)
+at the start, at every drift checkpoint, whenever its largest entry has
+fallen by GRADIENT_FALL_REFRESH since its last fresh value, at every step
+once that entry is below GRADIENT_ROUNDING_LEVEL times its initial value,
+and before a stop on the gradient rule or at the iteration cap in
 gradient-stop mode, so no reported gradient stop rests on accumulated
 rounding.  G takes n*n*8 bytes; when that exceeds both the matrix's own
-stored bytes and GRAM_BUDGET_BYTES, no G is built and A^T r is
-recomputed every step instead.
+stored bytes and GRAM_BUDGET_BYTES, or when no gradient is needed (rgs with
+a known solution and no trace), no G is built and the loop keeps x and the
+residual r instead: one column dot and one column axpy per step, with
+A^T r recomputed after every step if the gradient is needed.
 """
 import math
 import time
@@ -49,8 +51,9 @@ from .linalg import (
 )
 from .validation import is_sparse
 
-# Incremental residuals are rebuilt from scratch this often to stop
-# rounding drift from accumulating over very long runs.
+# The loop's kept state is checked against its value rebuilt from x this
+# often, and then recomputed, to stop rounding drift from accumulating over
+# very long runs: the gradient s when G is held, else the residual r.
 DRIFT_CHECK_INTERVAL = 1000
 
 # A dense Gram matrix for the incremental gradient may always take this
@@ -148,7 +151,9 @@ class SolveReport:
     elapsed_seconds: float
     final_res: float
     trace: list[StepRecord] | None = None
-    # Largest ||r - (b - A x)|| / ||b|| seen at the checkpoints and at exit.
+    # Largest drift of the kept state seen at the checkpoints and at exit:
+    # ||s - (A^T b - G x)|| / ||A^T b|| when G was held, else
+    # ||r - (b - A x)|| / ||b||.
     max_drift_rel: float = 0.0
 
 
@@ -303,15 +308,31 @@ def _stored_bytes(A):
 
 
 def _residual_drift(A, x, b, r, b_norm):
-    """Fresh residual b - A x and the distance of r from it.
+    """Distance of r from b - A x, relative to ||b|| = ||r_0||; r then holds
+    b - A x.
 
-    Drift is judged relative to ||b|| = ||r_0||: on consistent problems
+    Drift is judged relative to the value at x = 0: on consistent problems
     the current residual shrinks to rounding level, so normalizing by it
-    would be meaningless.
+    would be meaningless.  The same holds for _gradient_drift.
     """
     fresh = b - matvec(A, x)
     drift = float(np.linalg.norm(r - fresh))
-    return fresh, drift / b_norm if b_norm > 0.0 else drift
+    r[:] = fresh
+    return drift / b_norm if b_norm > 0.0 else drift
+
+
+def _gradient_drift(G, x, s, atb):
+    """Distance of s from A^T b - G x, relative to ||A^T b|| = ||s_0||, at
+    O(n^2) with no pass over A.
+
+    Both norms are taken after dividing by max|A^T b|, so neither
+    overflows when A^T b is near the top of the float range.
+    """
+    diff = s - (atb - G @ x)
+    scale = np.abs(atb).max()
+    if scale == 0.0:
+        return float(np.linalg.norm(diff))
+    return float(np.linalg.norm(diff / scale) / np.linalg.norm(atb / scale))
 
 
 def solve(problem, config):
@@ -392,10 +413,19 @@ def solve(problem, config):
     G = None
     if need_gradient and n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES):
         G = gram_matrix(A)
-    # max|s| at the start and at the last fresh computation of s; the
-    # refresh triggers compare these rather than ||s||^2, which overflows
-    # long before s does.
-    s_max0 = s_max_fresh = float(np.abs(s).max()) if G is not None else None
+        # The loop then keeps x and s only; A^T b is the reference for s's drift.
+        atb = s.copy()
+        # max|s| at the start and at the last fresh computation of s; the
+        # refresh triggers compare these rather than ||s||^2, which
+        # overflows long before s does.
+        s_max0 = s_max_fresh = float(np.abs(s).max())
+
+    def drift():
+        """Relative drift of the kept state from its value rebuilt from x:
+        of s when G is held, else of r, which then takes the rebuilt value."""
+        if G is None:
+            return _residual_drift(A, x, b, r, b_norm)
+        return _gradient_drift(G, x, s, atb)
 
     def measure(x, s, k):
         """State of iterate k: (squared gradient norm, res, stop measure,
@@ -425,16 +455,18 @@ def solve(problem, config):
     trace = [] if record else None
     max_drift = 0.0
     k = 0
-    # stale: s was updated from G since it was last computed from r.
-    # refresh: s must be computed from r before it is next used.
+    # stale: s was updated from G since it was last computed fresh.
+    # refresh: s must be computed fresh before it is next used.
     stale = refresh = False
 
     while True:
         if refresh:
-            s = transpose_matvec(A, r)
-            stale = refresh = False
-            if G is not None:
+            if G is None:
+                s = transpose_matvec(A, r)
+            else:
+                s = transpose_matvec(A, b - matvec(A, x))
                 s_max_fresh = float(np.abs(s).max())
+            stale = refresh = False
         grad_sq, res, final_res, reached = measure(x, s, k)
         if stale and not use_res_stop and (reached or k >= config.max_iterations):
             # A gradient stop, or a gradient ratio reported at the cap,
@@ -471,27 +503,26 @@ def solve(problem, config):
                 threshold=threshold,
             ))
 
-        alpha = step(x, r, A, j, col_norms[j])
-        k += 1
-
-        if k % DRIFT_CHECK_INTERVAL == 0:
-            r, drift = _residual_drift(A, x, b, r, b_norm)
-            max_drift = max(max_drift, drift)
+        if G is None:
+            step(x, r, A, j, col_norms[j])
             refresh = need_gradient
-        elif G is not None:
+        else:
+            alpha = s[j] / col_norms[j]
+            x[j] += alpha
             # G is symmetric, so its row j is column j, stored contiguously.
             s -= alpha * G[j]
             stale = True
             s_max = float(np.abs(s).max())
             refresh = (s_max < GRADIENT_FALL_REFRESH * s_max_fresh
                        or s_max < GRADIENT_ROUNDING_LEVEL * s_max0)
-        else:
+        k += 1
+        if k % DRIFT_CHECK_INTERVAL == 0:
+            max_drift = max(max_drift, drift())
             refresh = need_gradient
 
     if k % DRIFT_CHECK_INTERVAL:
-        # Also measure the drift of a run that did not end on a checkpoint,
-        # keeping r so the final trace record is the iterated state.
-        max_drift = max(max_drift, _residual_drift(A, x, b, r, b_norm)[1])
+        # Also measure the drift of a run that did not end on a checkpoint.
+        max_drift = max(max_drift, drift())
     elapsed = time.perf_counter() - t_start
 
     if record:

@@ -53,6 +53,24 @@ def test_column_norms_sq_dense_is_bit_identical_to_the_full_product(shape, order
     assert column_norms_sq(A).tobytes() == (A * A).sum(axis=0).tobytes()
 
 
+@pytest.mark.parametrize("m, n, density", [
+    (1, 1, 1.0),
+    (30, 7, 0.0),       # every column empty
+    (40, 12, 0.1),      # some columns empty, lengths 0-10
+    (300, 50, 0.5),     # columns of over 128 entries: pairwise sums
+    (2000, 40, 0.9),
+])
+def test_column_norms_sq_csc_is_bit_identical_to_per_column_sums(m, n, density):
+    rng = np.random.default_rng(m + n)
+    D = rng.standard_normal((m, n)) * rng.lognormal(0.0, 3.0, size=n)
+    D[rng.random((m, n)) >= density] = 0.0
+    D[:, rng.random(n) < 0.2] = 0.0
+    A = as_csc_matrix(sparse.csc_array(D))
+    sq = A.data * A.data
+    per_column = [sq[A.indptr[j]:A.indptr[j + 1]].sum() for j in range(n)]
+    assert column_norms_sq(A).tobytes() == np.array(per_column).tobytes()
+
+
 def test_column_norms_sq_dense_makes_no_full_size_temporary():
     A = np.asfortranarray(np.random.default_rng(2).standard_normal((20_000, 250)))
     tracemalloc.start()

@@ -341,7 +341,8 @@ def test_every_step_orthogonal_to_its_column():
         step(x, r, A, j, norms[j])
         bound = 1e-10 * np.sqrt(norms[j]) * np.linalg.norm(r)
         assert abs(column_dot(A, j, r)) <= bound
-    np.testing.assert_array_equal(x, report.solution)
+    # The solve steps on the gradient, the replay on the residual: equal to rounding.
+    np.testing.assert_allclose(x, report.solution, rtol=0, atol=1e-11 * np.abs(x).max())
 
 
 def test_energy_error_monotone_along_trace():
@@ -568,6 +569,18 @@ def test_short_run_reports_its_drift():
     assert 0.0 < report.max_drift_rel <= 1e-12
 
 
+def test_drift_is_measured_near_the_top_of_the_float_range():
+    # Scaling A by a power of two scales every product and sum exactly, so
+    # the relative drift must not change, though ||A^T b||^2 overflows.
+    rng = np.random.default_rng(81)
+    A, x_true = rng.standard_normal((50, 5)), rng.standard_normal(5)
+    reports = [solve(LsqProblem(matrix=np.asfortranarray(c * A), rhs=(c * A) @ x_true,
+                                known_solution=x_true), SolverConfig(method=Method.GGS))
+               for c in (1.0, 2.0**500)]
+    assert reports[0].iterations == reports[1].iterations
+    assert reports[1].max_drift_rel == reports[0].max_drift_rel > 0.0
+
+
 # ---------------------------------------------------------------------------
 # incremental gradient: cost and honesty
 # ---------------------------------------------------------------------------
@@ -647,6 +660,37 @@ def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, method):
            (incremental.iterations, incremental.stop_reason)
     assert [rec.chosen_index for rec in per_step.trace] == \
            [rec.chosen_index for rec in incremental.trace]
+    # The Gram path steps on s, the per-step path on r: equal to rounding.
+    np.testing.assert_allclose(incremental.solution, per_step.solution, rtol=0,
+                               atol=1e-11 * np.abs(per_step.solution).max())
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+@pytest.mark.parametrize("known", [True, False])
+@pytest.mark.parametrize("method", list(Method))
+def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, storage):
+    # rgs holds G only for a trace or for the gradient stop, so the known
+    # solution comes with a trace.
+    problem = make_consistent(gen_gaussian(200, 20, seed=12), seed=13) if storage == "dense" \
+        else _sparse_problem()
+    if not known:
+        problem = LsqProblem(matrix=problem.matrix, rhs=problem.rhs)
+    names = ("gram_matrix", "step", "column_dot", "axpy_column")
+    calls = {name: _count_calls(monkeypatch, name) for name in names}
+    report = solve(problem, SolverConfig(method=method, seed=1, record_trace=known))
+    assert report.iterations > 50
+    assert {name: len(c) for name, c in calls.items()} == \
+           {"gram_matrix": 1, "step": 0, "column_dot": 0, "axpy_column": 0}
+
+
+def test_rgs_with_known_solution_steps_on_the_residual(monkeypatch):
+    calls = {name: _count_calls(monkeypatch, name) for name in ("step", "column_dot", "axpy_column")}
+    for problem in (make_consistent(gen_gaussian(200, 20, seed=12), seed=13), _sparse_problem()):
+        for c in calls.values():
+            c.clear()
+        report = solve(problem, SolverConfig(method=Method.RGS, seed=1))
+        assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 50
+        assert [len(c) for c in calls.values()] == [report.iterations] * 3
 
 
 def _fresh_gradient_norm_sq(problem, x):
