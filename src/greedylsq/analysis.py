@@ -64,16 +64,16 @@ def jacobi_eigenvalues(G):
     return np.linalg.eigvalsh(G)
 
 
-def gram_extreme_eigenvalues(A):
-    """(lambda_min, lambda_max) of the Gram matrix A^T A, from one call of
-    the eigenvalue routine.  This is the package's one rank test.
+def gram_extreme_eigenvalues(G):
+    """(lambda_min, lambda_max) of the Gram matrix G = gram_matrix(A), from
+    one call of the eigenvalue routine.  This is the package's one rank test.
 
     Raises:
         RankDeficient: if lambda_min <= RANK_REL_TOLERANCE * lambda_max,
             a rule that does not depend on the scale of A.
-        NonFiniteValue: if the Gram matrix has a NaN or infinite entry.
+        NonFiniteValue: if G has a NaN or infinite entry.
     """
-    eigs = jacobi_eigenvalues(gram_matrix(A))
+    eigs = jacobi_eigenvalues(G)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_min <= RANK_REL_TOLERANCE * lam_max:
         raise RankDeficient(
@@ -83,9 +83,8 @@ def gram_extreme_eigenvalues(A):
 
 
 def lambda_min_pos(A):
-    """Smallest eigenvalue of A^T A, raising RankDeficient by the rank
-    test of gram_extreme_eigenvalues."""
-    return gram_extreme_eigenvalues(A)[0]
+    """Smallest eigenvalue of A^T A, after the rank test of gram_extreme_eigenvalues."""
+    return gram_extreme_eigenvalues(gram_matrix(A))[0]
 
 
 def _check_factor(f):

@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .analysis import gram_extreme_eigenvalues, gram_matrix
-from .exceptions import NonFiniteValue, NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
+from .exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from .linalg import matvec, transpose_matvec
 from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
 
@@ -82,18 +82,16 @@ def make_inconsistent(A, seed):
     least-squares solution.
 
     Raises:
-        RankDeficient: if the Gram matrix has no Cholesky factor.
-        NullSpaceEmpty: if m <= n: a matrix of full column rank then spans
-            all of R^m, so no nonzero r0 exists.
+        NullSpaceEmpty: if m <= n, checked first: a full-rank A then spans R^m.
+        RankDeficient: if A fails the one rank test (gram_extreme_eigenvalues).
     """
     A = as_matrix(A)
     m, n = A.shape
+    if m <= n:
+        raise NullSpaceEmpty(f"an inconsistent problem needs m > n, got a {m} x {n} matrix")
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(n)
-
     gram, lower = _gram_factor(A)
-    if m <= n:
-        raise NullSpaceEmpty(f"A^T has no null space for a {m} x {n} matrix")
     z = rng.standard_normal(m)
     r0 = z - matvec(A, cho_solve((gram, lower), transpose_matvec(A, z)))
 
@@ -101,19 +99,20 @@ def make_inconsistent(A, seed):
 
 
 def _gram_factor(A):
+    G = gram_matrix(A)
+    gram_extreme_eigenvalues(G)  # the one rank test decides; cho_factor's own failure stays handled
     try:
-        return cho_factor(gram_matrix(A), lower=False)
+        return cho_factor(G, lower=False)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"Gram factorization failed: {exc}") from exc
-    except ValueError as exc:  # cho_factor's finiteness check
-        raise NonFiniteValue("the Gram matrix has a NaN or infinite entry") from exc
 
 
 def reference_solution(problem):
     """Solve the normal equations A^T A x = A^T b by Cholesky.
 
     One refinement step is applied if the normal-equation residual
-    exceeds 1e-10 relative to ||A^T b||.
+    exceeds 1e-10 relative to ||A^T b||.  Raises RankDeficient if A fails
+    the one rank test (gram_extreme_eigenvalues): x is then not unique.
     """
     A = problem.matrix
     rhs_n = transpose_matvec(A, problem.rhs)
@@ -129,7 +128,7 @@ def reference_solution(problem):
 def assert_full_column_rank(A):
     """Return the Euclidean condition number sqrt(lambda_max / lambda_min),
     raising RankDeficient or NonFiniteValue as gram_extreme_eigenvalues does."""
-    lam_min, lam_max = gram_extreme_eigenvalues(A)
+    lam_min, lam_max = gram_extreme_eigenvalues(gram_matrix(A))
     return float(np.sqrt(lam_max / lam_min))
 
 
@@ -203,8 +202,10 @@ def load_matrix_market(path):
         (vals,) = _read_columns(entry_nos, lines, _ENTRY_FIELDS[2:], "value")
 
     rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, size_no)
-    M = sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc()
-    return as_csc_matrix(M)
+    try:
+        return as_csc_matrix(sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc())
+    except MemoryError:  # CSC storage holds n + 1 column pointers, whatever the entries
+        raise ParseError(f"a {m} x {n} matrix does not fit in memory", size_no) from None
 
 
 def _numbered_lines(path, comments):

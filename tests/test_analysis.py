@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -211,6 +213,25 @@ def test_verify_trace_no_violations_on_random_runs():
         assert bounds.violations == []
         assert bounds.max_set_size >= 1
         assert all(0.0 <= f < 1.0 for f in bounds.per_step_factors)
+
+
+def test_verify_trace_reports_a_raised_step_energy():
+    # Put the initial energy back at iterate 4: step 3 then expands the
+    # error, and iterate 4 sits above the cumulative envelope.
+    A = gen_gaussian(60, 6, seed=3)
+    report = solve(make_consistent(A, seed=4), SolverConfig(method=Method.GGS, record_trace=True))
+    trace = list(report.trace)
+    assert len(trace) > 6
+    trace[4] = dataclasses.replace(trace[4], energy_error_sq=trace[0].energy_error_sq)
+    bounds = verify_trace(trace, lambda_min_pos(A), 6)
+    measured = trace[0].energy_error_sq / trace[3].energy_error_sq
+    assert bounds.violations == [(3, measured, bounds.per_step_factors[2])]
+    assert bounds.cumulative_violations == 1
+    text = bounds.to_text()
+    assert "violations: 1\n" in text
+    assert f"violation: iteration=3 measured={measured:.12e} bound={bounds.per_step_factors[2]:.12e}\n" in text
+    assert "cumulative_violations: 1\n" in text
+    assert bounds.csv_row().split(",")[-1] == "1"
 
 
 def test_factor_chain_orderings():

@@ -1,11 +1,16 @@
+import dataclasses
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import data_path
 
+from greedylsq import cli
+from greedylsq.analysis import verify_trace
 from greedylsq.cli import main
 from greedylsq.problems import load_manifest, save_matrix_market
 
@@ -147,6 +152,22 @@ def test_verify_bounds_random(tmp_path, capsys):
     text = report_path.read_text()
     assert "violations: 0" in text
     assert "factors:" in text
+
+
+def test_verify_bounds_exits_1_on_a_violation(tmp_path, monkeypatch, capsys):
+    # The run's own trace, with the initial energy put back at iterate 2.
+    def with_a_raised_energy(trace, lam, n):
+        trace = list(trace)
+        trace[2] = dataclasses.replace(trace[2], energy_error_sq=trace[0].energy_error_sq)
+        return verify_trace(trace, lam, n)
+    monkeypatch.setattr(cli, "verify_trace", with_a_raised_energy)
+    report_path = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, "verify-bounds", "--random", "200", "20", "5",
+                           "--consistent", "--out", str(report_path))
+    assert code == 1
+    lines = dict(ln.split(": ", 1) for ln in out.strip().splitlines())
+    assert (lines["per_step_violations"], lines["cumulative_violations"]) == ("1", "1")
+    assert "violation: iteration=1 " in report_path.read_text()
 
 
 def test_verify_bounds_single_column(capsys):
@@ -320,6 +341,16 @@ def test_verify_bounds_inconsistent_problem(capsys):
     assert lines["per_step_violations"] == "0"
 
 
+def test_bench_exits_1_when_trials_hit_the_cap(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("row random:40x4 consistent\n")
+    with pytest.warns(UserWarning, match="row/ggs: 1 of 1 trials hit the iteration cap"):
+        code, out, _ = run_cli(capsys, "bench", str(manifest), "--repeats", "1", "--max-iters", "1",
+                               "--methods", "ggs", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out.splitlines()[1].startswith("row,")
+
+
 def test_bench_reports_failed_experiment(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(
@@ -388,6 +419,7 @@ _NO_TRACEBACK_CASES = [
     (["info", "missing.mtx"], 66),
     (["bench", "missing.txt"], 66),
     (["info", "nonsquare.mtx"], 1),
+    (["solve", "--consistent"], 64),
 ]
 
 
@@ -406,6 +438,25 @@ def test_cli_failure_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsy
     assert code == want
     assert "Traceback" not in err
     assert len([ln for ln in err.splitlines() if "greedylsq:" in ln or "error:" in ln]) == 1
+
+
+def test_info_on_a_huge_declared_shape_is_a_parse_error(tmp_path):
+    # CSC storage of a 3 x 2^31 matrix needs 16 GiB of column pointers.  A
+    # child process caps its address space before numpy loads, so the
+    # allocation fails at once; never load this file without the cap.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 2147483648 1\n1 1 1.0\n")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
+    child = (f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+             "from greedylsq.cli import main\nsys.exit(main(['info', sys.argv[1]]))\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "greedylsq: line 2: a 3 x 2147483648 matrix does not fit in memory\n")
 
 
 def test_rhs_length_mismatch_names_both_counts(tmp_path, capsys):

@@ -8,6 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from conftest import data_path
 
+from greedylsq import problems
 from greedylsq.estimators import GreedyGaussSeidel
 from greedylsq.exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from greedylsq.linalg import column_norms_sq, matvec, transpose_matvec
@@ -101,6 +102,85 @@ def test_make_inconsistent_single_column_direction():
 def test_make_inconsistent_square_invertible_raises():
     with pytest.raises(NullSpaceEmpty):
         make_inconsistent(np.eye(3), seed=1)
+
+
+def _wide_or_square(rng):
+    n = int(rng.integers(1, 10))
+    return rng.standard_normal((int(rng.integers(1, n + 1)), n))
+
+
+def _tall_with_a_bad_column(rng, bad):
+    """m > n >= 2, with column j zeroed or set equal to column i."""
+    n = int(rng.integers(2, 12))
+    A = rng.standard_normal((int(rng.integers(n + 1, 80)), n))
+    i, j = rng.choice(n, size=2, replace=False)
+    A[:, j] = 0.0 if bad == "zero" else A[:, i]
+    return A
+
+
+def test_make_inconsistent_refuses_m_at_most_n_before_any_gram_work(monkeypatch):
+    def no_gram(A):
+        raise AssertionError("make_inconsistent built a Gram matrix for m <= n")
+    monkeypatch.setattr(problems, "gram_matrix", no_gram)
+    rng = np.random.default_rng(5)
+    for t in range(100):
+        A = _wide_or_square(rng)
+        with pytest.raises(NullSpaceEmpty, match=rf"got a {A.shape[0]} x {A.shape[1]} matrix"):
+            make_inconsistent(A if t % 2 else sparse.csc_array(A), seed=t)
+
+
+@pytest.mark.parametrize("bad", ["zero", "duplicate"])
+def test_make_inconsistent_raises_rank_deficient_for_every_bad_column(bad):
+    # The one rank test decides, not whether Cholesky happens to fail.
+    rng = np.random.default_rng(6)
+    for t in range(60):
+        A = _tall_with_a_bad_column(rng, bad)
+        with pytest.raises(RankDeficient, match="Gram eigenvalue ratio"):
+            make_inconsistent(A if t % 2 else sparse.csc_array(A), seed=t)
+
+
+def test_reference_solution_raises_rank_deficient_for_every_duplicated_column():
+    rng = np.random.default_rng(7)
+    for t in range(60):
+        A = _tall_with_a_bad_column(rng, "duplicate")
+        with pytest.raises(RankDeficient, match="Gram eigenvalue ratio"):
+            reference_solution(LsqProblem(matrix=A, rhs=rng.standard_normal(A.shape[0])))
+
+
+@pytest.mark.parametrize("m, n", [(51, 50), (100, 10), (400, 40)])
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_make_inconsistent_full_rank_output_is_the_cholesky_projection(m, n, storage):
+    # Bit for bit the rhs of one Cholesky projection on the draws x_true, then z.
+    for seed in range(3):
+        A = gen_gaussian(m, n, seed=60 + seed)
+        if storage == "csc":
+            A = sparse.csc_array(np.where(np.abs(A) > 0.5, A, 0.0))
+        gram = A.T @ A
+        gram = gram.toarray() if storage == "csc" else gram
+        rng = np.random.default_rng(seed)
+        x_true = rng.standard_normal(n)
+        z = rng.standard_normal(m)
+        r0 = z - A @ cho_solve(cho_factor(gram), A.T @ z)
+        problem = make_inconsistent(A, seed=seed)
+        np.testing.assert_array_equal(problem.known_solution, x_true)
+        np.testing.assert_array_equal(problem.rhs, A @ x_true + r0)
+
+
+def test_reference_solution_refines_on_an_ill_conditioned_matrix(monkeypatch):
+    # cond(A) = 1e5 passes the rank test (cond(A^T A) = 1e10 < 1e12), and
+    # with x* on the smallest singular direction the first Cholesky solve
+    # leaves a normal-equation residual above 1e-10 * ||A^T b||.
+    solves = []
+    monkeypatch.setattr(problems, "cho_solve", lambda *a: solves.append(1) or cho_solve(*a))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+        V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        A = (U * np.logspace(0, -5, 6)) @ V.T
+        solves.clear()
+        x = reference_solution(LsqProblem(matrix=A, rhs=A @ V[:, -1]))
+        assert len(solves) == 2
+        np.testing.assert_allclose(x, V[:, -1], rtol=0, atol=1e-9)
 
 
 def test_reference_solution_worked(worked_dense, worked_rhs):
