@@ -8,6 +8,7 @@ OSError), 2 iteration cap, 64 usage error, 66 missing input file.
 import argparse
 import os
 import sys
+import warnings
 
 from .analysis import grcd_expected_factor, lambda_min_pos, verify_trace
 from .bench import ExperimentSpec, build_trial_problem, emit_convergence_curve, emit_table, run_experiment
@@ -219,11 +220,17 @@ def cmd_bench(args, parser):
             max_iterations=args.max_iters,
         )
         try:
-            result = run_experiment(spec)
+            # A trial that hits the cap is a warning to library callers and
+            # one line here.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                result = run_experiment(spec)
         except (GreedyLsqError, OSError) as exc:
             print(f"greedylsq: experiment {entry.label!r} failed: {exc}", file=sys.stderr)
             any_failed = True
             continue
+        for warning in caught:
+            print(f"greedylsq: {warning.message}", file=sys.stderr)
         if result.failed_trials:
             any_failed = True
         results.append(result)

@@ -18,19 +18,28 @@ column is selected:
 Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
 which zeroes the gradient entry of the chosen column.  The gradient
 s = A^T r, when a method, the trace or the stopping rule needs it, comes
-with the dense Gram matrix G = A^T A built once per solve, and the loop
-then keeps x and s only: alpha = s[j] / ||A[:, j]||^2 and s -= alpha * G[j],
-O(n) per step with no pass over A.  s is recomputed fresh as A^T (b - A x)
-at the start, at every drift checkpoint, whenever its largest entry has
-fallen by GRADIENT_FALL_REFRESH since its last fresh value, at every step
-once that entry is below GRADIENT_ROUNDING_LEVEL times its initial value,
-and before a stop on the gradient rule or at the iteration cap in
-gradient-stop mode, so no reported gradient stop rests on accumulated
-rounding.  G takes n*n*8 bytes; when that exceeds both the matrix's own
-stored bytes and GRAM_BUDGET_BYTES, or when no gradient is needed (rgs with
-a known solution and no trace), no G is built and the loop keeps x and the
-residual r instead: one column dot and one column axpy per step, with
-A^T r recomputed after every step if the gradient is needed.
+with the dense Gram matrix G = A^T A, built just before the first step,
+and the loop then keeps x and s only: alpha = s[j] / ||A[:, j]||^2 and
+s -= alpha * G[j], O(n) per step with no pass over A.  s is recomputed
+fresh as A^T (b - A x) at every drift checkpoint, whenever its largest
+entry has fallen by GRADIENT_FALL_REFRESH since its last fresh value, at
+every step once that entry is below GRADIENT_ROUNDING_LEVEL times its
+initial value, and before a stop on the gradient rule or at the iteration
+cap in gradient-stop mode, so no reported gradient stop rests on
+accumulated rounding.
+
+rgs with a known solution and no trace needs no gradient: it takes its
+first n steps (n columns) on the residual r, one column dot and one
+column axpy each, then builds G and takes every later step in the dot
+form alpha = ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, O(n) with no kept
+state besides x.  A short solve thus never pays the O(m n^2) of G, and a
+long one pays it once, when the residual steps so far have cost about
+as much as G.
+
+G takes n*n*8 bytes; when that exceeds both the matrix's own stored
+bytes and GRAM_BUDGET_BYTES, no G is built and the loop keeps x and r
+throughout, with A^T r recomputed after every step if the gradient is
+needed.
 """
 import math
 import time
@@ -53,7 +62,7 @@ from .validation import is_sparse
 
 # The loop's kept state is checked against its value rebuilt from x this
 # often, and then recomputed, to stop rounding drift from accumulating over
-# very long runs: the gradient s when G is held, else the residual r.
+# very long runs: the gradient s when it is kept, else the residual r.
 DRIFT_CHECK_INTERVAL = 1000
 
 # A dense Gram matrix for the incremental gradient may always take this
@@ -152,8 +161,9 @@ class SolveReport:
     final_res: float
     trace: list[StepRecord] | None = None
     # Largest drift of the kept state seen at the checkpoints and at exit:
-    # ||s - (A^T b - G x)|| / ||A^T b|| when G was held, else
-    # ||r - (b - A x)|| / ||b||.
+    # ||s - (A^T b - G x)|| / ||A^T b|| when s was kept, else
+    # ||r - (b - A x)|| / ||b||, where rgs's dot form keeps no state and
+    # adds r's drift at the step that built G.
     max_drift_rel: float = 0.0
 
 
@@ -410,22 +420,23 @@ def solve(problem, config):
         grad0_sq = float(np.dot(s, s))
         if not math.isfinite(grad0_sq):
             raise NonFiniteValue(f"||A^T b||^2 is {grad0_sq}, not finite")
+    # G is built just before step gram_step, if it fits.  Without the
+    # gradient (rgs with a known solution and no trace) the first n steps
+    # run on the residual, at two column passes each.  Building G takes
+    # roughly as long as n such steps, so a solve shorter than that never
+    # pays for G, and a longer one pays for it once.
     G = None
-    if need_gradient and n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES):
-        G = gram_matrix(A)
-        # The loop then keeps x and s only; A^T b is the reference for s's drift.
-        atb = s.copy()
-        # max|s| at the start and at the last fresh computation of s; the
-        # refresh triggers compare these rather than ||s||^2, which
-        # overflows long before s does.
-        s_max0 = s_max_fresh = float(np.abs(s).max())
+    gram_step = None
+    if n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES):
+        gram_step = 0 if need_gradient else n
 
     def drift():
         """Relative drift of the kept state from its value rebuilt from x:
-        of s when G is held, else of r, which then takes the rebuilt value."""
+        of s when G is held, else of r, which then takes the rebuilt value.
+        The dot form keeps no state, so it has none."""
         if G is None:
             return _residual_drift(A, x, b, r, b_norm)
-        return _gradient_drift(G, x, s, atb)
+        return _gradient_drift(G, x, s, atb) if need_gradient else 0.0
 
     def measure(x, s, k):
         """State of iterate k: (squared gradient norm, res, stop measure,
@@ -503,9 +514,27 @@ def solve(problem, config):
                 threshold=threshold,
             ))
 
+        if k == gram_step:
+            if need_gradient:
+                # The loop keeps x and s only; A^T b, which s still is, is
+                # the reference for s's drift.
+                atb = s.copy()
+                # max|s| at the start and at the last fresh computation of
+                # s; the refresh triggers compare these rather than ||s||^2,
+                # which overflows long before s does.
+                s_max0 = s_max_fresh = float(np.abs(s).max())
+            else:
+                # The residual's drift is measured once more; r is then unused.
+                max_drift = max(max_drift, drift())
+                atb = transpose_matvec(A, b)
+            G = gram_matrix(A)
+
         if G is None:
             step(x, r, A, j, col_norms[j])
             refresh = need_gradient
+        elif not need_gradient:
+            # rgs needs s[j] only, as one row of G against x.
+            x[j] += (atb[j] - G[j] @ x) / col_norms[j]
         else:
             alpha = s[j] / col_norms[j]
             x[j] += alpha

@@ -344,11 +344,14 @@ def test_verify_bounds_inconsistent_problem(capsys):
 def test_bench_exits_1_when_trials_hit_the_cap(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("row random:40x4 consistent\n")
-    with pytest.warns(UserWarning, match="row/ggs: 1 of 1 trials hit the iteration cap"):
-        code, out, _ = run_cli(capsys, "bench", str(manifest), "--repeats", "1", "--max-iters", "1",
-                               "--methods", "ggs", "--out", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, "bench", str(manifest), "--repeats", "1", "--max-iters", "1",
+                             "--methods", "ggs", "--out", str(tmp_path / "out"))
     assert code == 1
     assert out.splitlines()[1].startswith("row,")
+    warning, table = err.splitlines()
+    assert warning == ("greedylsq: row/ggs: 1 of 1 trials hit the iteration cap and were "
+                       "excluded from the averages")
+    assert table.startswith("table: ")
 
 
 def test_bench_reports_failed_experiment(tmp_path, capsys):

@@ -637,13 +637,82 @@ def test_greedy_solve_computes_the_gradient_once(monkeypatch, method):
     assert (len(calls), len(grams)) == (1, 1)
 
 
-def test_rgs_with_known_solution_never_needs_the_gradient(monkeypatch):
-    calls = _count_calls(monkeypatch, "transpose_matvec")
+def _dense_or_sparse_problem(storage):
+    if storage == "dense":
+        return make_consistent(gen_gaussian(200, 20, seed=12), seed=13)
+    return _sparse_problem()
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_rgs_with_known_solution_builds_the_gram_matrix_after_n_residual_steps(monkeypatch, storage):
+    problem = _dense_or_sparse_problem(storage)
+    n = problem.matrix.shape[1]
+    names = ("gram_matrix", "step", "transpose_matvec")
+    calls = {name: _count_calls(monkeypatch, name) for name in names}
+
+    def counts(max_iterations):
+        for c in calls.values():
+            c.clear()
+        report = solve(problem, SolverConfig(method=Method.RGS, seed=1, max_iterations=max_iterations))
+        return report, {name: len(c) for name, c in calls.items()}
+
+    # A solve of at most n steps stays on the residual: G would be built
+    # just before step n.
+    for cap in (n // 2, n):
+        report, made = counts(cap)
+        assert report.iterations == cap
+        assert made == {"gram_matrix": 0, "step": cap, "transpose_matvec": 0}
+    # A longer one builds G once, with A^T b, and takes no residual step after n.
+    report, made = counts(200_000)
+    assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 2 * n
+    assert made == {"gram_matrix": 1, "step": n, "transpose_matvec": 1}
+
+
+def test_rgs_without_the_gram_budget_steps_on_the_residual(monkeypatch):
+    monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    names = ("gram_matrix", "step", "transpose_matvec")
+    calls = {name: _count_calls(monkeypatch, name) for name in names}
+    report = solve(_sparse_problem(), SolverConfig(method=Method.RGS, seed=1))
+    assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 200
+    assert {name: len(c) for name, c in calls.items()} == \
+           {"gram_matrix": 0, "step": report.iterations, "transpose_matvec": 0}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_rgs_dot_form_makes_the_same_steps_as_the_residual_loop(monkeypatch, tol):
+    problem = _sparse_problem()
+    for seed in range(4):
+        config = SolverConfig(method=Method.RGS, seed=seed, res_tolerance=tol)
+        with_gram = solve(problem, config)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+            residual = solve(problem, config)
+        assert (with_gram.iterations, with_gram.stop_reason) == \
+               (residual.iterations, residual.stop_reason)
+        # The dot form takes s[j] from A^T b and G, the residual loop from
+        # r: equal to rounding (8e-16 * max|x| seen).
+        np.testing.assert_allclose(with_gram.solution, residual.solution, rtol=0,
+                                   atol=1e-13 * np.abs(residual.solution).max())
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_rgs_reports_the_residual_drift_measured_when_it_builds_the_gram_matrix(storage):
+    problem = _dense_or_sparse_problem(storage)
+    report = solve(problem, SolverConfig(method=Method.RGS, seed=1))
+    assert report.iterations > problem.matrix.shape[1]
+    assert 0.0 < report.max_drift_rel <= 1e-12
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_solve_that_stops_before_any_step_builds_no_gram_matrix(monkeypatch, method):
+    # b is orthogonal to every column, so A^T b = 0 exactly and the
+    # gradient stop holds at iteration 0.
+    A = np.vstack([gen_gaussian(50, 5, seed=3), np.zeros((50, 5))])
+    b = np.concatenate([np.zeros(50), np.ones(50)])
     grams = _count_calls(monkeypatch, "gram_matrix")
-    for problem in (make_consistent(gen_gaussian(200, 20, seed=12), seed=13), _sparse_problem()):
-        report = solve(problem, SolverConfig(method=Method.RGS, seed=1))
-        assert report.stop_reason is StopReason.RES_REACHED
-    assert (len(calls), len(grams)) == (0, 0)
+    report = solve(LsqProblem(matrix=A, rhs=b), SolverConfig(method=method, seed=1))
+    assert (report.iterations, report.stop_reason) == (0, StopReason.GRADIENT_REACHED)
+    assert len(grams) == 0
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -669,10 +738,9 @@ def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, method):
 @pytest.mark.parametrize("known", [True, False])
 @pytest.mark.parametrize("method", list(Method))
 def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, storage):
-    # rgs holds G only for a trace or for the gradient stop, so the known
-    # solution comes with a trace.
-    problem = make_consistent(gen_gaussian(200, 20, seed=12), seed=13) if storage == "dense" \
-        else _sparse_problem()
+    # Untraced rgs with a known solution takes its first n steps on the
+    # residual, so here the known solution comes with a trace.
+    problem = _dense_or_sparse_problem(storage)
     if not known:
         problem = LsqProblem(matrix=problem.matrix, rhs=problem.rhs)
     names = ("gram_matrix", "step", "column_dot", "axpy_column")
@@ -681,16 +749,6 @@ def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, s
     assert report.iterations > 50
     assert {name: len(c) for name, c in calls.items()} == \
            {"gram_matrix": 1, "step": 0, "column_dot": 0, "axpy_column": 0}
-
-
-def test_rgs_with_known_solution_steps_on_the_residual(monkeypatch):
-    calls = {name: _count_calls(monkeypatch, name) for name in ("step", "column_dot", "axpy_column")}
-    for problem in (make_consistent(gen_gaussian(200, 20, seed=12), seed=13), _sparse_problem()):
-        for c in calls.values():
-            c.clear()
-        report = solve(problem, SolverConfig(method=Method.RGS, seed=1))
-        assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 50
-        assert [len(c) for c in calls.values()] == [report.iterations] * 3
 
 
 def _fresh_gradient_norm_sq(problem, x):
