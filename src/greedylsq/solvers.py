@@ -13,7 +13,8 @@ column is selected:
   the maximum; the working column is sampled proportionally to its
   squared entry.
 * ``rgs``: sample columns with probability proportional to squared column
-  norm, independent of the residual.
+  norm, independent of the residual, RGS_BLOCK at a time from the solve's
+  own stream, so its selections equal those of one draw per step.
 
 Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
 which zeroes the gradient entry of the chosen column.  The gradient
@@ -80,6 +81,9 @@ GRADIENT_ROUNDING_LEVEL = 1e-12
 # Gradient entries within this factor (relative) of the largest magnitude
 # count as tied for the greedy candidate set.
 TIE_TOLERANCE_REL = 1e-12
+
+# rgs draws this many columns per rgs_select call.
+RGS_BLOCK = 512
 
 
 class Method(Enum):
@@ -263,13 +267,19 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     return chosen, members, float(threshold)
 
 
-def rgs_select(cum_norms_sq, rng):
-    """Sample a column with probability ||A[:, j]||^2 / ||A||_F^2.
+def rgs_select(cum_norms_sq, rng, size):
+    """Sample ``size`` columns, each with probability ||A[:, j]||^2 / ||A||_F^2,
+    from the cumulative table np.cumsum(column_norms_sq(A)).  rng.random(size)
+    gives the uniforms of ``size`` rng.random() calls bit for bit, so the
+    indices and rng's final state equal those of ``size`` single draws."""
+    u = rng.random(size) * cum_norms_sq[-1]
+    return np.minimum(np.searchsorted(cum_norms_sq, u, side="right"), len(cum_norms_sq) - 1).tolist()
 
-    ``cum_norms_sq`` is the cumulative table np.cumsum(column_norms_sq(A)),
-    built once per solve.
-    """
-    return _sample_inverse_cdf(cum_norms_sq, rng)
+
+def _rgs_picks(cum_norms_sq, rng):
+    """rgs's columns, RGS_BLOCK per call of the module attribute rgs_select."""
+    while True:
+        yield from rgs_select(cum_norms_sq, rng, RGS_BLOCK)
 
 
 def _sample_inverse_cdf(cum, rng):
@@ -297,16 +307,16 @@ def step(x, r, A, j, col_norm_sq_j):
 
 
 # The selection rule of each method, called as rule(s, col_norms_sq,
-# cum_norms_sq, frob_sq, rng) and returning (chosen index, member index
-# array, grcd threshold or None); cum_norms_sq, the cumulative column-norm
-# table, is built for rgs only.  Each entry looks its select function up
-# by module attribute at call time, so a wrapper installed there
-# (perfbench's tracer) sees every call.
+# picks, frob_sq, rng) and returning (chosen index, member index array,
+# grcd threshold or None); picks, the solve's _rgs_picks stream, is built
+# for rgs only.  Each entry looks its select function up by module
+# attribute at call time, so a wrapper installed there (perfbench's
+# tracer) sees every call.
 _SELECT = {
-    Method.GGS: lambda s, norms, cum, frob_sq, rng: (*ggs_select(s, norms), None),
-    Method.GGS_RANDOMIZED: lambda s, norms, cum, frob_sq, rng: (*ggs_randomized_select(s, norms, rng), None),
-    Method.GRCD: lambda s, norms, cum, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
-    Method.RGS: lambda s, norms, cum, frob_sq, rng: ((j := rgs_select(cum, rng)), [j], None),
+    Method.GGS: lambda s, norms, picks, frob_sq, rng: (*ggs_select(s, norms), None),
+    Method.GGS_RANDOMIZED: lambda s, norms, picks, frob_sq, rng: (*ggs_randomized_select(s, norms, rng), None),
+    Method.GRCD: lambda s, norms, picks, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
+    Method.RGS: lambda s, norms, picks, frob_sq, rng: ((j := next(picks)), [j], None),
 }
 
 
@@ -385,7 +395,7 @@ def solve(problem, config):
     t_start = time.perf_counter()
     col_norms = column_norms_sq(A)
     frob_sq = float(col_norms.sum())
-    cum_norms = np.cumsum(col_norms) if method is Method.RGS else None
+    picks = _rgs_picks(np.cumsum(col_norms), rng) if method is Method.RGS else None
     # A NaN, infinite or overflowing entry of A shows in its column norms,
     # so this needs no extra pass over the matrix.
     if not np.isfinite(col_norms).all():
@@ -491,7 +501,7 @@ def solve(problem, config):
             stop_reason = StopReason.ITERATION_CAP
             break
         try:
-            j, members, threshold = select(s, col_norms, cum_norms, frob_sq, rng)
+            j, members, threshold = select(s, col_norms, picks, frob_sq, rng)
         except AllZeroGradient:
             # s is fresh here: a stale s that fell to zero set refresh, since
             # 0 < GRADIENT_FALL_REFRESH * s_max_fresh.  In gradient-stop mode a

@@ -1,5 +1,6 @@
-"""Property tests of the solve loop on small generated problems, and of
-the MatrixMarket reader on small generated files.
+"""Property tests of the solve loop on small generated problems, of rgs's
+block draws on generated norm tables, and of the MatrixMarket reader on
+small generated files.
 
 Each solve example is a seeded Gaussian matrix, optionally thinned to a
 sparse pattern (every column keeps at least one entry), solved in dense
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from oracles import ref_rgs_select
+
 from greedylsq.exceptions import GreedyLsqError, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, load_matrix_market
-from greedylsq.solvers import Method, SolverConfig, StopReason, solve, step
+from greedylsq.solvers import Method, SolverConfig, StopReason, rgs_select, solve, step
 
 # Fewer steps than a drift checkpoint, so replaying the chosen columns
 # from zero follows the solver's iterates, to rounding.
@@ -169,6 +172,24 @@ def test_degenerate_input_never_claims_false_convergence(prob, seed):
             assert report.final_res <= config.res_tolerance
     if not A.any(axis=0).all():
         assert len(outcomes) == 1, outcomes
+
+
+@st.composite
+def rgs_norm_tables(draw):
+    """Squared column norms, some of them zero, at least one not."""
+    norms = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=40))
+    norms[draw(st.integers(0, len(norms) - 1))] = draw(st.floats(1e-6, 1e6))
+    return np.array(norms)
+
+
+@PROPERTY_SETTINGS
+@given(rgs_norm_tables(), st.integers(0, 2**32 - 1), st.integers(1, 1_100))
+def test_rgs_block_draw_equals_one_draw_per_step(norms, seed, size):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = rgs_select(np.cumsum(norms), rng, size)
+    assert draws == [ref_rgs_select(norms, float(norms.sum()), rng_ref) for _ in range(size)]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert (norms[draws] > 0.0).all()
 
 
 # Tokens a well-formed body never holds: some parse (underscores, NaN,

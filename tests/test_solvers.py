@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -127,11 +128,9 @@ def test_greedy_selections_ignore_the_scale_of_the_gradient(power):
 
 def test_rgs_select_frequencies():
     rng = np.random.default_rng(31)
-    counts = 0
     draws = 10_000
     norms = np.array([1.0, 3.0])
-    for _ in range(draws):
-        counts += rgs_select(np.cumsum(norms), rng)
+    counts = sum(rgs_select(np.cumsum(norms), rng, draws))
     freq = counts / draws
     sigma = np.sqrt(0.75 * 0.25 / draws)
     assert abs(freq - 0.75) < 3 * sigma
@@ -141,15 +140,13 @@ def test_rgs_select_uniform_when_equal_norms():
     rng = np.random.default_rng(77)
     draws = 10_000
     n = 4
-    counts = np.zeros(n)
-    for _ in range(draws):
-        counts[rgs_select(np.cumsum(np.ones(n)), rng)] += 1
+    counts = np.bincount(rgs_select(np.cumsum(np.ones(n)), rng, draws), minlength=n)
     sigma = np.sqrt((1 / n) * (1 - 1 / n) / draws)
     assert np.all(np.abs(counts / draws - 1 / n) < 3 * sigma + 1e-9)
 
 
 def test_rgs_select_single_column():
-    assert rgs_select(np.cumsum([2.0]), np.random.default_rng(0)) == 0
+    assert rgs_select(np.cumsum([2.0]), np.random.default_rng(0), 1000) == [0] * 1000
 
 
 def test_ggs_randomized_single_candidate_matches_deterministic():
@@ -246,7 +243,7 @@ def test_rgs_select_draws_match_the_per_step_table():
     norms[[3, 20]] = 0.0
     cum = np.cumsum(norms)
     rng, rng_ref = np.random.default_rng(40), np.random.default_rng(40)
-    draws = [rgs_select(cum, rng) for _ in range(10_000)]
+    draws = rgs_select(cum, rng, 10_000)
     ref = [ref_rgs_select(norms, float(norms.sum()), rng_ref) for _ in range(10_000)]
     assert draws == ref
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -854,3 +851,69 @@ def test_huge_gradient_entries_still_converge(method):
 def test_negative_seed_is_rejected_for_every_method(method):
     with pytest.raises(ValueError, match="seed"):
         SolverConfig(method=method, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# rgs block draws
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("known", [True, False], ids=["res-stop", "gradient-stop"])
+@pytest.mark.parametrize("storage", ["dense", "csc", "csc-without-gram"])
+def test_rgs_selections_across_block_boundaries_equal_one_draw_per_step(monkeypatch, storage, known):
+    problem = _dense_or_sparse_problem(storage.removesuffix("-without-gram"))
+    if storage == "csc-without-gram":
+        monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    if not known:
+        problem = LsqProblem(matrix=problem.matrix, rhs=problem.rhs)
+    norms = column_norms_sq(problem.matrix)
+    block = solvers.RGS_BLOCK
+    for cap in (block - 1, block, block + 1, 2 * block + 1):
+        # A tolerance no run reaches, so each one stops at its cap.
+        config = SolverConfig(method=Method.RGS, seed=5, max_iterations=cap,
+                              res_tolerance=1e-300, record_trace=True)
+        report = solve(problem, config)
+        assert (report.iterations, report.stop_reason) == (cap, StopReason.ITERATION_CAP)
+        rng = np.random.default_rng(5)
+        assert [rec.chosen_index for rec in report.trace[:-1]] == \
+               [ref_rgs_select(norms, float(norms.sum()), rng) for _ in range(cap)]
+
+
+def _pinned_rgs_problem(storage):
+    if storage == "dense":
+        return make_consistent(gen_gaussian(1000, 50, seed=21), seed=22)
+    return _sparse_problem()
+
+
+# (iterations, stop reason, first 16 hex digits of the SHA-256 of
+# solution.tobytes()) of untraced rgs solves with seeds 0-4, recorded when
+# rgs still drew one uniform per step.  The dense runs stop on either side
+# of RGS_BLOCK steps, the CSC runs after several blocks.
+RGS_PINNED = {
+    "dense": [(483, "edf1e0cc55ad23cd"), (560, "4207fff4b7367ff3"), (530, "82172243d9ad026e"),
+              (416, "de9cc296861da1d0"), (502, "07a8e3af69f4aaaa")],
+    "csc": [(5128, "a95de00512c56739"), (4295, "591db1eeeabf3b47"), (4479, "73845a0accc88816"),
+            (3782, "069c577fc96d1d70"), (3113, "0729f9d9eebff26f")],
+}
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_rgs_reports_are_bit_identical_to_one_draw_per_step(storage):
+    problem = _pinned_rgs_problem(storage)
+    for seed, (iterations, digest) in enumerate(RGS_PINNED[storage]):
+        report = solve(problem, SolverConfig(method=Method.RGS, seed=seed))
+        assert (report.iterations, report.stop_reason) == (iterations, StopReason.RES_REACHED)
+        assert hashlib.sha256(report.solution.tobytes()).hexdigest()[:16] == digest
+
+
+def test_rgs_solve_carries_no_draws_into_the_next():
+    def fingerprint(report):
+        return (report.solution.tobytes(), report.iterations, report.stop_reason,
+                report.final_res, report.max_drift_rel)
+
+    problem = _pinned_rgs_problem("dense")
+    config = SolverConfig(method=Method.RGS, seed=1)
+    first = solve(problem, config)
+    # A solve in between that ends part-way through a block.
+    other = solve(_sparse_problem(), SolverConfig(method=Method.RGS, seed=2))
+    assert other.iterations % solvers.RGS_BLOCK
+    assert fingerprint(solve(problem, config)) == fingerprint(first)
