@@ -18,8 +18,9 @@ class ZeroColumn(GreedyLsqError):
 
 
 class NonFiniteValue(GreedyLsqError):
-    """An input or a stopping quantity is NaN or infinite, so a solve
-    could not tell convergence from overflow."""
+    """An input or a stopping quantity is NaN or infinite, or a nonzero
+    one is below the normal float range, so a solve could not tell
+    convergence from overflow or underflow."""
 
 
 class FactorOutOfRange(GreedyLsqError):

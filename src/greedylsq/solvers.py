@@ -41,8 +41,22 @@ G takes n*n*8 bytes; when that exceeds both the matrix's own stored
 bytes and GRAM_BUDGET_BYTES, no G is built and the loop keeps x and r
 throughout, with A^T r recomputed after every step if the gradient is
 needed.
+
+res = ||x - x*||^2 / ||x*||^2 is computed with x* and every x - x* taken
+times the power of two that brings max|x*| into [0.5, 1), an exact
+scaling, so ||x*||^2 neither underflows to 0 nor overflows.  With a known
+solution and no trace, the res stop rule costs O(1) per step: the loop
+keeps err, a running value of the scaled ||x - x*||^2 that each step
+updates by the change in its one moved entry's term, and computes it
+fresh through _scaled_error_sq only where a stop may be near or err may
+have drifted: when err is within RES_STOP_MARGIN of the stop threshold,
+has fallen or risen by RES_FALL_REFRESH since its last fresh value or is
+not finite, at every drift checkpoint, at the iteration cap and before a
+RankDeficient message.  Every stop, final_res and error thus rests on
+the same fresh value as a check at every step.
 """
 import math
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -77,6 +91,14 @@ GRAM_BUDGET_BYTES = 32 * 2**20
 # its initial value, where selections on updated values would run on noise.
 GRADIENT_FALL_REFRESH = 1e-4
 GRADIENT_ROUNDING_LEVEL = 1e-12
+
+# The running err of the res stop rule is replaced by a fresh value once it
+# is at most RES_STOP_MARGIN times the stop threshold tol * ||x*||^2, or
+# outside [RES_FALL_REFRESH, 1 / RES_FALL_REFRESH] times its last fresh
+# value.  Within that window its rounding error is under 2e-4 of itself
+# (see _scaled_error_sq), so a margin of 1.25 misses no stop at any tol.
+RES_STOP_MARGIN = 1.25
+RES_FALL_REFRESH = 1e-4
 
 # Gradient entries within this factor (relative) of the largest magnitude
 # count as tied for the greedy candidate set.
@@ -162,6 +184,8 @@ class SolveReport:
     iterations: int
     stop_reason: StopReason
     elapsed_seconds: float
+    # The stop measure at the final iterate (res with a known solution,
+    # else the gradient ratio), always computed fresh, never a running value.
     final_res: float
     trace: list[StepRecord] | None = None
     # Largest drift of the kept state seen at the checkpoints and at exit:
@@ -206,6 +230,31 @@ def _unit_scaled(s, s_max):
     draw weighted by them, is the same as without it.
     """
     return np.ldexp(s, -math.frexp(s_max)[1])
+
+
+def _scaled_error_sq(x, x_star_unit, scale):
+    """||x - x*||^2 times scale^2, as ||x * scale - x_star_unit||^2, where
+    scale is a power of two and x_star_unit = x* * scale, so res is this
+    over ||x_star_unit||^2.  The scaling is exact for normal-range values,
+    so res has the same bits as ||x - x*||^2 / ||x*||^2 whenever that
+    neither underflows nor overflows.
+
+    Between fresh values the res stop rule tests a running value err,
+    which each step updates by its moved entry's term d_j^2, d_j the same
+    x[j] * scale - x_star_unit[j] as here, at a few roundings per step.
+    With u = 2^-53, F this function's value at the last fresh computation,
+    K <= DRIFT_CHECK_INTERVAL steps since then and f = RES_FALL_REFRESH,
+    every err tested since lies in (f F, F / f), so err is within
+    (n u / f + 6 K u / f^2) err of the exact sum of the current squares,
+    which is under 2e-4 err for n <= 1e8 and does not depend on tol.  This
+    function's value is within n u of that sum too.  So an err above
+    RES_STOP_MARGIN = 1.25 times the threshold tol * ||x_star_unit||^2
+    proves this function's value above the threshold, at any tol.  A
+    non-finite value here needs a non-finite term, which makes err
+    non-finite, or a sum beyond 2^1000, the cap of err's window.
+    """
+    d = x * scale - x_star_unit
+    return float(np.dot(d, d))
 
 
 def ggs_select(s, col_norms_sq):
@@ -327,18 +376,25 @@ def _stored_bytes(A):
     return A.nbytes
 
 
-def _residual_drift(A, x, b, r, b_norm):
+def _residual_drift(A, x, b, r):
     """Distance of r from b - A x, relative to ||b|| = ||r_0||; r then holds
     b - A x.
 
     Drift is judged relative to the value at x = 0: on consistent problems
     the current residual shrinks to rounding level, so normalizing by it
-    would be meaningless.  The same holds for _gradient_drift.
+    would be meaningless.  The same holds for _gradient_drift.  Both norms
+    are taken on the vectors times the power of two that brings max|b|
+    into [0.5, 1), which changes no bit of the ratio but keeps either
+    norm from overflowing near the top of the float range.
     """
     fresh = b - matvec(A, x)
-    drift = float(np.linalg.norm(r - fresh))
+    diff = r - fresh
     r[:] = fresh
-    return drift / b_norm if b_norm > 0.0 else drift
+    b_max = np.abs(b).max()
+    if b_max == 0.0:
+        return float(np.linalg.norm(diff))
+    return (float(np.linalg.norm(_unit_scaled(diff, b_max)))
+            / float(np.linalg.norm(_unit_scaled(b, b_max))))
 
 
 def _gradient_drift(G, x, s, atb):
@@ -359,9 +415,10 @@ def solve(problem, config):
     """Run the configured method on a least-squares problem.
 
     Starts from x = 0, so r = b.  Stops when the squared relative solution
-    error reaches ``res_tolerance`` (known solution), when the squared
-    gradient norm falls to ``res_tolerance`` times its initial value
-    (unknown solution), or at the iteration cap.
+    error reaches ``res_tolerance`` (a known solution with a nonzero
+    entry), when the squared gradient norm falls to ``res_tolerance``
+    times its initial value (no known solution, or an all-zero one), or at
+    the iteration cap.
 
     Args:
         problem: an LsqProblem, whose construction checked its inputs.
@@ -373,7 +430,9 @@ def solve(problem, config):
 
     Raises:
         NonFiniteValue: if A (through its squared column norms), b, the
-            known solution or ||A^T b||^2 is not finite, or the stop
+            known solution or ||A^T b||^2 is not finite, if the gradient
+            rule's threshold res_tolerance * ||A^T b||^2 is below the
+            normal float range though A^T b is nonzero, or if the stop
             measure stops being finite during the run.
         RankDeficient: with a known solution, in two cases where it is
             not the only least-squares solution and cannot be reached.
@@ -407,13 +466,22 @@ def solve(problem, config):
 
     x = np.zeros(n)
     r = b.copy()
-    b_norm = float(np.linalg.norm(b))
 
-    x_star_norm_sq = float(np.dot(x_star, x_star)) if x_star is not None else 0.0
-    use_res_stop = x_star is not None and x_star_norm_sq > 0.0
+    # The scale of the module docstring, clamped to 2^1023 for a subnormal
+    # max|x*|; ||x*||^2 is then positive whenever x* has a nonzero entry.
+    scale = x_star_unit = None
+    x_star_unit_sq = 0.0
+    if x_star is not None:
+        scale = math.ldexp(1.0, min(-math.frexp(float(np.abs(x_star).max()))[1], 1023))
+        x_star_unit = x_star * scale
+        x_star_unit_sq = float(np.dot(x_star_unit, x_star_unit))
+    use_res_stop = x_star_unit_sq > 0.0
+    # With a known solution and no trace, res is computed fresh only where a
+    # stop may be near (module docstring); err is the running value between.
+    estimate = use_res_stop and not record
     if use_res_stop:
-        unreachable = x_star[col_norms == 0.0]
-        res_floor = float(np.dot(unreachable, unreachable)) / x_star_norm_sq
+        unreachable = x_star_unit[col_norms == 0.0]
+        res_floor = float(np.dot(unreachable, unreachable)) / x_star_unit_sq
         if res_floor > tol:
             raise RankDeficient(
                 f"res cannot fall below {res_floor:.3e} at iteration 0, above the tolerance "
@@ -430,6 +498,12 @@ def solve(problem, config):
         grad0_sq = float(np.dot(s, s))
         if not math.isfinite(grad0_sq):
             raise NonFiniteValue(f"||A^T b||^2 is {grad0_sq}, not finite")
+        if tol * grad0_sq < sys.float_info.min and s.any():
+            # Below the normal range the squares that the stop rule compares
+            # lose their bits, down to 0, which meets the rule at once.
+            raise NonFiniteValue(
+                f"the gradient rule's threshold tol * ||A^T b||^2 = {tol * grad0_sq:.3e} "
+                "underflows below the normal float range though A^T b is nonzero")
     # G is built just before step gram_step, if it fits.  Without the
     # gradient (rgs with a known solution and no trace) the first n steps
     # run on the residual, at two column passes each.  Building G takes
@@ -445,7 +519,7 @@ def solve(problem, config):
         of s when G is held, else of r, which then takes the rebuilt value.
         The dot form keeps no state, so it has none."""
         if G is None:
-            return _residual_drift(A, x, b, r, b_norm)
+            return _residual_drift(A, x, b, r)
         return _gradient_drift(G, x, s, atb) if need_gradient else 0.0
 
     def measure(x, s, k):
@@ -453,13 +527,18 @@ def solve(problem, config):
         whether the measure reached the tolerance).
 
         The stop measure is res when the true solution is known, else the
-        gradient ratio ||A^T r||^2 / ||A^T b||^2.
+        gradient ratio ||A^T r||^2 / ||A^T b||^2.  res is fresh, through
+        _scaled_error_sq, and is ||x||^2 when x* = 0; it restarts err and
+        the window (lo, hi) that err must stay in to skip the next measure.
         """
+        nonlocal err, lo, hi
         grad_sq = float(np.dot(s, s)) if need_grad_sq else None
         res = None
         if x_star is not None:
-            d = x - x_star
-            res = float(np.dot(d, d)) / x_star_norm_sq if x_star_norm_sq > 0.0 else float(np.dot(d, d))
+            err = _scaled_error_sq(x, x_star_unit, scale)
+            res = err / x_star_unit_sq if use_res_stop else err
+            lo = max(RES_STOP_MARGIN * tol * x_star_unit_sq, RES_FALL_REFRESH * err)
+            hi = min(err / RES_FALL_REFRESH, 2.0**1000)
         if use_res_stop:
             value, reached = res, res <= tol
         else:
@@ -476,6 +555,8 @@ def solve(problem, config):
     trace = [] if record else None
     max_drift = 0.0
     k = 0
+    err = lo = hi = 0.0
+    x_star_entries = x_star_unit.tolist() if estimate else None
     # stale: s was updated from G since it was last computed fresh.
     # refresh: s must be computed fresh before it is next used.
     stale = refresh = False
@@ -488,7 +569,11 @@ def solve(problem, config):
                 s = transpose_matvec(A, b - matvec(A, x))
                 s_max_fresh = float(np.abs(s).max())
             stale = refresh = False
-        grad_sq, res, final_res, reached = measure(x, s, k)
+        if estimate and lo < err < hi and k % DRIFT_CHECK_INTERVAL and k < config.max_iterations:
+            # err proves res above the tolerance (module docstring).
+            reached = False
+        else:
+            grad_sq, res, final_res, reached = measure(x, s, k)
         if stale and not use_res_stop and (reached or k >= config.max_iterations):
             # A gradient stop, or a gradient ratio reported at the cap,
             # must hold for a fresh gradient, not only for the updated one.
@@ -503,6 +588,8 @@ def solve(problem, config):
         try:
             j, members, threshold = select(s, col_norms, picks, frob_sq, rng)
         except AllZeroGradient:
+            if estimate:
+                res = _scaled_error_sq(x, x_star_unit, scale) / x_star_unit_sq
             # s is fresh here: a stale s that fell to zero set refresh, since
             # 0 < GRADIENT_FALL_REFRESH * s_max_fresh.  In gradient-stop mode a
             # fresh zero gradient has already met the stop rule, so this is
@@ -539,6 +626,9 @@ def solve(problem, config):
                 atb = transpose_matvec(A, b)
             G = gram_matrix(A)
 
+        if estimate:
+            d = x.item(j) * scale - x_star_entries[j]
+            err -= d * d
         if G is None:
             step(x, r, A, j, col_norms[j])
             refresh = need_gradient
@@ -554,6 +644,9 @@ def solve(problem, config):
             s_max = float(np.abs(s).max())
             refresh = (s_max < GRADIENT_FALL_REFRESH * s_max_fresh
                        or s_max < GRADIENT_ROUNDING_LEVEL * s_max0)
+        if estimate:
+            d = x.item(j) * scale - x_star_entries[j]
+            err += d * d
         k += 1
         if k % DRIFT_CHECK_INTERVAL == 0:
             max_drift = max(max_drift, drift())

@@ -1,19 +1,24 @@
-"""Property tests of the solve loop on small generated problems, of rgs's
-block draws on generated norm tables, and of the MatrixMarket reader on
-small generated files.
+"""Property tests of the solve loop on small generated problems, of its
+running res against a res computed at every step, of rgs's block draws on
+generated norm tables, and of the MatrixMarket reader on small generated
+files.
 
 Each solve example is a seeded Gaussian matrix, optionally thinned to a
 sparse pattern (every column keeps at least one entry), solved in dense
 column-major storage and as a CSC copy.
 """
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import ref_rgs_select
 
+from greedylsq import solvers
 from greedylsq.exceptions import GreedyLsqError, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, load_matrix_market
@@ -190,6 +195,50 @@ def test_rgs_block_draw_equals_one_draw_per_step(norms, seed, size):
     assert draws == [ref_rgs_select(norms, float(norms.sum()), rng_ref) for _ in range(size)]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert (norms[draws] > 0.0).all()
+
+
+@st.composite
+def full_rank_problems(draw):
+    """A full-column-rank Gaussian matrix with columns scaled by up to
+    10^+-2, thinned or not, and its least-squares solution, for a
+    consistent or an inconsistent rhs."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(1, min(m, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2, 2, n)
+    if draw(st.booleans()):
+        A[rng.random((m, n)) >= 0.5] = 0.0
+    assume(np.linalg.matrix_rank(A) == n)
+    x_true = rng.standard_normal(n)
+    b = A @ x_true
+    if draw(st.booleans()):
+        b = b + rng.standard_normal(m)
+        x_true = np.linalg.lstsq(A, b, rcond=None)[0]
+    return np.asfortranarray(A), b, x_true
+
+
+def _outcome(problem, config):
+    try:
+        report = solve(problem, config)
+    except GreedyLsqError as exc:
+        return type(exc), str(exc)
+    return (report.iterations, report.stop_reason, report.final_res.hex(),
+            report.solution.tobytes(), report.max_drift_rel.hex())
+
+
+@PROPERTY_SETTINGS
+@given(full_rank_problems(), st.sampled_from(list(Method)), st.integers(0, 1000),
+       st.sampled_from([1e-6, 1e-10, 1e-14, 1e-15]), st.sampled_from([7, 500, 2_000]))
+def test_running_res_reports_what_a_res_check_at_every_step_does(prob, method, seed, tol, cap):
+    """An infinite RES_STOP_MARGIN computes res fresh at every step, as a
+    solve did before it kept a running error."""
+    A, b, x_true = prob
+    config = SolverConfig(method=method, seed=seed, max_iterations=cap, res_tolerance=tol)
+    for M in (A, sparse.csc_array(A)):
+        problem = LsqProblem(matrix=M, rhs=b, known_solution=x_true)
+        with mock.patch.object(solvers, "RES_STOP_MARGIN", math.inf):
+            reference = _outcome(problem, config)
+        assert _outcome(problem, config) == reference
 
 
 # Tokens a well-formed body never holds: some parse (underscores, NaN,

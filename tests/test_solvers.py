@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import sparse
 from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_rgs_select
 
 from greedylsq import solvers
+from greedylsq.analysis import gram_matrix
 from greedylsq.exceptions import (
     AllZeroGradient,
     GreedyLsqError,
@@ -917,3 +919,190 @@ def test_rgs_solve_carries_no_draws_into_the_next():
     other = solve(_sparse_problem(), SolverConfig(method=Method.RGS, seed=2))
     assert other.iterations % solvers.RGS_BLOCK
     assert fingerprint(solve(problem, config)) == fingerprint(first)
+
+
+# ---------------------------------------------------------------------------
+# the res stop rule's running error
+# ---------------------------------------------------------------------------
+
+# (iterations, stop reason, final_res.hex(), first 16 hex digits of the
+# SHA-256 of solution.tobytes()) of untraced seed-3 solves at tol 1e-6,
+# tol 1e-12 and a cap of 7 steps, recorded when every step computed res
+# fresh.  ggs-random's candidate sets have one member here, so it
+# matches ggs.
+REPORTS_PINNED = {
+    "dense": {
+        "ggs": [(126, "res_reached", "0x1.06fec74815e7ep-20", "873917b587f0b957"),
+                (254, "res_reached", "0x1.1414a5b2e254ep-40", "850de2113af6a19c"),
+                (7, "iteration_cap", "0x1.373ef3ca35dfbp-1", "323e3558a62885b2")],
+        "ggs-random": [(126, "res_reached", "0x1.06fec74815e7ep-20", "873917b587f0b957"),
+                       (254, "res_reached", "0x1.1414a5b2e254ep-40", "850de2113af6a19c"),
+                       (7, "iteration_cap", "0x1.373ef3ca35dfbp-1", "323e3558a62885b2")],
+        "grcd": [(131, "res_reached", "0x1.08f2b7bb76fcep-20", "294f952dd0452c13"),
+                 (274, "res_reached", "0x1.f2991bfbfd366p-41", "1bfb91b34c1447ae"),
+                 (7, "iteration_cap", "0x1.47f200b3df346p-1", "3420956b20cef51c")],
+        "rgs": [(416, "res_reached", "0x1.c42eba918922ep-21", "de9cc296861da1d0"),
+                (892, "res_reached", "0x1.eda7ee576d039p-41", "46fcaccf2eafccb5"),
+                (7, "iteration_cap", "0x1.d393a8eb7f421p-1", "8305c86a43257985")],
+    },
+    "csc": {
+        "ggs": [(644, "res_reached", "0x1.0b3cd12270d6bp-20", "93db6fd3fd3a8b61"),
+                (1465, "res_reached", "0x1.184460d76d8a9p-40", "55015c4279818d6b"),
+                (7, "iteration_cap", "0x1.6e100cd0d7a67p-1", "9f986bfc488fb0b6")],
+        "ggs-random": [(644, "res_reached", "0x1.0b3cd12270d6bp-20", "93db6fd3fd3a8b61"),
+                       (1465, "res_reached", "0x1.184460d76d8a9p-40", "55015c4279818d6b"),
+                       (7, "iteration_cap", "0x1.6e100cd0d7a67p-1", "9f986bfc488fb0b6")],
+        "grcd": [(662, "res_reached", "0x1.072e05ec5a802p-20", "d831fc7ec8d86270"),
+                 (1503, "res_reached", "0x1.16852eb9a2d46p-40", "23b5f0999cb95637"),
+                 (7, "iteration_cap", "0x1.6b22d75e831e6p-1", "431d99a92570aea0")],
+        "rgs": [(3782, "res_reached", "0x1.0c6f499d8abd8p-20", "069c577fc96d1d70"),
+                (9368, "res_reached", "0x1.133a881a4d43ep-40", "035294341eb30c89"),
+                (7, "iteration_cap", "0x1.ec00ed9c9c9b3p-1", "eb3cc2175ea61759")],
+    },
+}
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_reports_are_bit_identical_to_a_res_check_at_every_step(storage, method):
+    problem = _pinned_rgs_problem(storage)
+    runs = [(1e-6, 200_000), (1e-12, 200_000), (1e-6, 7)]
+    for (tol, cap), pinned in zip(runs, REPORTS_PINNED[storage][method.value]):
+        report = solve(problem, SolverConfig(method=method, seed=3, res_tolerance=tol,
+                                             max_iterations=cap))
+        assert (report.iterations, report.stop_reason.value, report.final_res.hex(),
+                hashlib.sha256(report.solution.tobytes()).hexdigest()[:16]) == pinned
+
+
+def _outcome(problem, config):
+    """Everything a solve reports, or the error it raises."""
+    try:
+        report = solve(problem, config)
+    except GreedyLsqError as exc:
+        return type(exc), str(exc)
+    return (report.iterations, report.stop_reason, report.final_res.hex(),
+            report.solution.tobytes(), report.max_drift_rel.hex())
+
+
+def _outcome_with_res_at_every_step(monkeypatch, problem, config):
+    """_outcome of the solve with no step skipping the fresh res: an
+    infinite margin puts every running error inside it."""
+    with monkeypatch.context() as patched:
+        patched.setattr(solvers, "RES_STOP_MARGIN", math.inf)
+        return _outcome(problem, config)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-15])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_tight_tolerances_stop_where_a_res_check_at_every_step_does(monkeypatch, method, tol):
+    problem = make_consistent(gen_gaussian(300, 20, seed=31), seed=32)
+    config = SolverConfig(method=method, seed=1, res_tolerance=tol)
+    outcome = _outcome(problem, config)
+    assert outcome[1] is StopReason.RES_REACHED
+    assert outcome == _outcome_with_res_at_every_step(monkeypatch, problem, config)
+
+
+def _ill_conditioned_problem():
+    """300x20 Gaussian with columns scaled from 10^-0.75 to 10^0.75, whose
+    condition number is 37."""
+    A = gen_gaussian(300, 20, seed=41) * np.logspace(-0.75, 0.75, 20)
+    return make_consistent(np.asfortranarray(A), seed=42)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-15])
+def test_rgs_error_that_rises_on_some_steps_stops_where_a_res_check_at_every_step_does(
+        monkeypatch, tol):
+    problem = _ill_conditioned_problem()
+    config = SolverConfig(method=Method.RGS, seed=2, res_tolerance=tol)
+    original, errors = solvers._scaled_error_sq, []
+    monkeypatch.setattr(solvers, "_scaled_error_sq",
+                        lambda *args: errors.append(original(*args)) or errors[-1])
+    reference = _outcome_with_res_at_every_step(monkeypatch, problem, config)
+    assert reference[1] is StopReason.RES_REACHED
+    # ||x - x*||^2 rises on some steps, so the running error must too.
+    assert sum(b > a for a, b in zip(errors, errors[1:])) > 10
+    assert _outcome(problem, config) == reference
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_final_res_at_the_cap_is_computed_fresh(method):
+    problem = _ill_conditioned_problem()
+    report = solve(problem, SolverConfig(method=method, seed=3, max_iterations=1234,
+                                         res_tolerance=1e-300))
+    assert report.stop_reason is StopReason.ITERATION_CAP
+    d, x_star = report.solution - problem.known_solution, problem.known_solution
+    assert report.final_res == float(np.dot(d, d)) / float(np.dot(x_star, x_star))
+
+
+def test_nan_mid_run_raises_at_the_iteration_a_res_check_at_every_step_does(monkeypatch):
+    problem = _pinned_rgs_problem("dense")
+    n, poisoned = problem.matrix.shape[1], 17
+
+    def gram_with_a_nan_row(A):
+        G = gram_matrix(A)
+        G[poisoned, 3] = np.nan
+        return G
+
+    monkeypatch.setattr(solvers, "gram_matrix", gram_with_a_nan_row)
+    config = SolverConfig(method=Method.RGS, seed=4)
+    outcome = _outcome(problem, config)
+    # rgs steps on G from step n on; x turns NaN at its first step on the
+    # poisoned row, and res at the iterate after it.
+    norms = column_norms_sq(problem.matrix)
+    picks = rgs_select(np.cumsum(norms), np.random.default_rng(4), 2 * n)
+    k = n + picks[n:].index(poisoned) + 1
+    assert outcome == (NonFiniteValue, f"the relative solution error is nan at iteration {k}")
+    assert outcome == _outcome_with_res_at_every_step(monkeypatch, problem, config)
+
+
+def test_rgs_computes_res_fresh_on_few_steps(monkeypatch):
+    problem = _pinned_rgs_problem("dense")
+    calls = _count_calls(monkeypatch, "_scaled_error_sq")
+    for seed in range(5):
+        calls.clear()
+        report = solve(problem, SolverConfig(method=Method.RGS, seed=seed))
+        assert report.stop_reason is StopReason.RES_REACHED
+        assert len(calls) <= 0.05 * report.iterations
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_traced_solve_computes_res_fresh_at_every_iterate(monkeypatch, method):
+    problem = _pinned_rgs_problem("dense")
+    calls = _count_calls(monkeypatch, "_scaled_error_sq")
+    report = solve(problem, SolverConfig(method=method, seed=0, record_trace=True))
+    assert len(calls) == report.iterations + 1
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("c", [2.0**-565, 2.0**532], ids=["1e-170", "1e160"])
+def test_known_solution_far_from_one_solves_as_at_unit_scale(method, c):
+    # Scaling b and x* by a power of two scales every iterate exactly, so
+    # only the solution may differ, by that factor.  At 2^-565 ||x*||^2
+    # underflows to 0, and at 2^532 ||x - x*||^2 overflows at x = 0.
+    unit = make_consistent(gen_gaussian(200, 10, seed=51), seed=52)
+    scaled = LsqProblem(matrix=unit.matrix, rhs=unit.rhs * c, known_solution=unit.known_solution * c)
+    config = SolverConfig(method=method, seed=5)
+    reports = [solve(unit, config), solve(scaled, config)]
+    assert reports[0].stop_reason is StopReason.RES_REACHED
+    assert [(r.iterations, r.stop_reason, r.final_res) for r in reports] == \
+           [(reports[0].iterations, StopReason.RES_REACHED, reports[0].final_res)] * 2
+    np.testing.assert_array_equal(reports[1].solution, reports[0].solution * c)
+
+
+@pytest.mark.parametrize("c", [2.0**-500, 2.0**-540, 2.0**-565])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_gradient_stop_raises_when_its_threshold_underflows(method, c):
+    # At 2^-565 ||A^T b||^2 underflows to 0, and at 2^-540 the squares
+    # compared by the stop rule lose their bits: each used to report
+    # gradient_reached at a gradient ratio of 0, far short of the tolerance.
+    A = gen_gaussian(200, 10, seed=51)
+    x = np.random.default_rng(53).standard_normal(10)
+    config = SolverConfig(method=method, seed=1)
+    unit = solve(LsqProblem(matrix=A, rhs=A @ x), config)
+    problem = LsqProblem(matrix=A, rhs=A @ (x * c))
+    if c == 2.0**-500:
+        report = solve(problem, config)
+        assert (report.iterations, report.stop_reason) == (unit.iterations, StopReason.GRADIENT_REACHED)
+        return
+    with pytest.raises(NonFiniteValue, match=r"threshold tol \* \|\|A\^T b\|\|\^2 = .* underflows"):
+        solve(problem, config)
