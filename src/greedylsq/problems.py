@@ -21,6 +21,9 @@ from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
 # of the matrix stream (seed sequences hash, so any fixed offset works).
 RHS_SEED_OFFSET = 0x9E3779B9
 
+# gen_gaussian draws its rows in blocks of about this many entries (512 KB).
+GAUSSIAN_BLOCK_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class LsqProblem:
@@ -58,12 +61,20 @@ def gen_gaussian(m, n, seed):
     """Dense m x n matrix of i.i.d. standard normal entries.
 
     Deterministic per seed: entries come from numpy's PCG64 stream via
-    its documented normal transform.
+    its documented normal transform, in row-major order, as
+    rng.standard_normal((m, n)) gives them.  The column-major result is
+    filled GAUSSIAN_BLOCK_ENTRIES at a time from consecutive row blocks of
+    that stream, so the bits are the same without a transient row-major
+    copy of the whole matrix.
     """
     if m < 1 or n < 1 or m < n:
         raise ValueError(f"need m >= n >= 1, got {m} x {n}")
     rng = np.random.default_rng(seed)
-    return np.asfortranarray(rng.standard_normal((m, n)))
+    A = np.empty((m, n), order="F")
+    rows = max(1, GAUSSIAN_BLOCK_ENTRIES // n)
+    for i in range(0, m, rows):
+        A[i:i + rows] = rng.standard_normal((min(rows, m - i), n))
+    return A
 
 
 def make_consistent(A, seed):

@@ -291,28 +291,43 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     gradient entry clears threshold * ||s||^2 * ||A[:, j]||^2 is kept, and
     the working column is sampled with probability proportional to its
     squared gradient entry.  All of these are invariant to the scale of s,
-    so they are computed from s scaled to a largest magnitude near 1.
-    A zero column has ratio 0 and is never a member.
+    so they are computed from |s| scaled to a largest magnitude near 1.
+    A zero column has ratio 0 and is never a member; only a matrix with a
+    zero column pays for that masked divide.
+
+    For float64 s and col_norms_sq, as solve passes them, the rule and
+    every output bit, rng's state included, are those of the plain numpy
+    form of these formulas: the largest |s| and the smallest column norm
+    are read at argmax and argmin (NaN first, as max and min give it),
+    ||s||^2 and the draw's table are the same pairwise sum and running
+    sum as ndarray.sum and np.cumsum, and the threshold is taken on Python
+    floats, the same IEEE doubles as numpy scalars.
 
     Returns:
         (chosen index, member index array, threshold).
     """
-    t = _unit_scaled(s, np.abs(s).max())
-    sq = t * t
-    s_norm_sq = float(sq.sum())
+    sq = np.abs(s)
+    sq = _unit_scaled(sq, sq.item(sq.argmax()))
+    sq *= sq
+    s_norm_sq = float(np.add.reduce(sq))
     if s_norm_sq == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
-    live = col_norms_sq > 0.0
-    ratios = np.divide(sq, col_norms_sq, out=np.zeros_like(sq), where=live)
-    best = int(np.argmax(ratios))
-    threshold = 0.5 * (ratios[best] / s_norm_sq + 1.0 / frob_sq)
+    if col_norms_sq.item(col_norms_sq.argmin()) > 0.0:
+        ratios = sq / col_norms_sq
+        live = None
+    else:
+        live = col_norms_sq > 0.0
+        ratios = np.divide(sq, col_norms_sq, out=np.zeros_like(sq), where=live)
+    best = int(ratios.argmax())
+    threshold = 0.5 * (ratios.item(best) / s_norm_sq + 1.0 / frob_sq)
     mask = sq >= threshold * s_norm_sq * col_norms_sq
-    mask &= live
+    if live is not None:
+        mask &= live
     # The maximizing column always qualifies mathematically; force it in
     # so borderline rounding cannot leave the set empty.
     mask[best] = True
-    members = np.flatnonzero(mask)
-    chosen = int(members[_sample_inverse_cdf(np.cumsum(sq[members]), rng)])
+    members = mask.nonzero()[0]
+    chosen = members.item(_sample_inverse_cdf(np.add.accumulate(sq[members]), rng))
     return chosen, members, float(threshold)
 
 
@@ -334,8 +349,8 @@ def _rgs_picks(cum_norms_sq, rng):
 def _sample_inverse_cdf(cum, rng):
     """Draw index j with probability (cum[j] - cum[j-1]) / cum[-1] from a
     cumulative table of nonnegative weights (one uniform)."""
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+    u = rng.random() * cum.item(-1)
+    return min(int(cum.searchsorted(u, side="right")), cum.size - 1)
 
 
 def step(x, r, A, j, col_norm_sq_j):

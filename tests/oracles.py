@@ -85,8 +85,9 @@ def charpoly_smallest_eigenvalue(G, grid_points=200_000, bisect_iters=200):
 
 
 # ---------------------------------------------------------------------------
-# Earlier package selections (before the one-candidate fast path and the
-# per-solve cumulative rgs table), verbatim apart from their names.
+# Earlier package selections (before the one-candidate fast path, the
+# per-solve cumulative rgs table and the trimmed grcd selection), verbatim
+# apart from their names.
 # ---------------------------------------------------------------------------
 
 def _ref_greedy_candidates(s, col_norms_sq, tie_tolerance_rel):
@@ -126,3 +127,24 @@ def _ref_sample_inverse_cdf(weights, rng):
     cum = np.cumsum(weights)
     u = rng.random() * cum[-1]
     return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+def ref_grcd_select(s, col_norms_sq, frob_sq, rng):
+    t = _ref_unit_scaled(s, np.abs(s).max())
+    sq = t * t
+    s_norm_sq = float(sq.sum())
+    if s_norm_sq == 0.0:
+        raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
+    live = col_norms_sq > 0.0
+    ratios = np.divide(sq, col_norms_sq, out=np.zeros_like(sq), where=live)
+    best = int(np.argmax(ratios))
+    threshold = 0.5 * (ratios[best] / s_norm_sq + 1.0 / frob_sq)
+    mask = sq >= threshold * s_norm_sq * col_norms_sq
+    mask &= live
+    # The maximizing column always qualifies mathematically; force it in
+    # so borderline rounding cannot leave the set empty.
+    mask[best] = True
+    members = np.flatnonzero(mask)
+    chosen = int(members[_ref_sample_inverse_cdf(sq[members], rng)])
+    return chosen, members, float(threshold)
+

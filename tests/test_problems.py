@@ -41,6 +41,16 @@ def test_gen_gaussian_deterministic():
     assert not np.array_equal(A, gen_gaussian(40, 7, seed=124))
 
 
+# Row blocks of GAUSSIAN_BLOCK_ENTRIES // n rows: 262 at n = 250, so 1000
+# and 300 rows end in a partial block, and one column takes 65,536 rows.
+@pytest.mark.parametrize("m, n", [(1000, 250), (70_000, 1), (300, 300), (5, 5), (1, 1)])
+def test_gen_gaussian_equals_the_whole_row_major_draw(m, n):
+    A = gen_gaussian(m, n, seed=3)
+    expected = np.asfortranarray(np.random.default_rng(3).standard_normal((m, n)))
+    assert A.flags.f_contiguous and A.dtype == np.float64
+    assert A.tobytes(order="F") == expected.tobytes(order="F")
+
+
 def test_gen_gaussian_moments():
     A = gen_gaussian(10_000, 2, seed=5)
     assert abs(A.mean()) < 0.05

@@ -1,6 +1,7 @@
 """Property tests of the solve loop on small generated problems, of its
 running res against a res computed at every step, of rgs's block draws on
-generated norm tables, and of the MatrixMarket reader on small generated
+generated norm tables, of grcd's selection against its earlier code on
+generated gradients, and of the MatrixMarket reader on small generated
 files.
 
 Each solve example is a seeded Gaussian matrix, optionally thinned to a
@@ -16,13 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import ref_rgs_select
+from oracles import ref_grcd_select, ref_rgs_select
 
 from greedylsq import solvers
-from greedylsq.exceptions import GreedyLsqError, RankDeficient
+from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, load_matrix_market
-from greedylsq.solvers import Method, SolverConfig, StopReason, rgs_select, solve, step
+from greedylsq.solvers import Method, SolverConfig, StopReason, grcd_select, rgs_select, solve, step
 
 # Fewer steps than a drift checkpoint, so replaying the chosen columns
 # from zero follows the solver's iterates, to rounding.
@@ -195,6 +196,68 @@ def test_rgs_block_draw_equals_one_draw_per_step(norms, seed, size):
     assert draws == [ref_rgs_select(norms, float(norms.sum()), rng_ref) for _ in range(size)]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert (norms[draws] > 0.0).all()
+
+
+@st.composite
+def grcd_inputs(draw):
+    """(s, col_norms_sq, frob_sq) for grcd_select: n from 1 to 40, zero
+    columns whose gradient entry is zero or not, subnormal and zero
+    gradient entries, everything scaled by up to 1e+-300, and three kinds
+    of ties: repeated values, which tie at the best ratio, an exact
+    power-of-two tie of every entry at the threshold, and frob_sq chosen
+    to put the threshold on one column's ratio."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "repeated", "equal", "at_threshold"]))
+    if kind == "equal":
+        n = 2 ** draw(st.integers(0, 5))
+        s = np.full(n, 2.0 ** draw(st.integers(-4, 4))) * rng.choice([-1.0, 1.0], n)
+        norms = np.full(n, 2.0 ** draw(st.integers(-4, 4)))
+    else:
+        s = rng.standard_normal(n)
+        norms = rng.random(n) + 0.05
+        if kind == "repeated":
+            s = rng.choice(s[:3], n) * rng.choice([-1.0, 1.0], n)
+            norms = rng.choice(norms[:2], n)
+    s[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    s[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 5e-324 * rng.integers(1, 2**20)
+    zero_cols = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+    norms[zero_cols] = 0.0
+    if draw(st.booleans()):
+        s[zero_cols] = 0.0
+    s = s * 10.0 ** draw(st.sampled_from([0, 300, -300, 150, -150]))
+    norms = norms * 10.0 ** draw(st.sampled_from([0, 100, -100]))
+    frob_sq = float(norms.sum()) or 1.0
+    live = norms > 0.0
+    if kind == "at_threshold" and live.any() and np.abs(s).max() > 0.0:
+        t = np.ldexp(s, -math.frexp(np.abs(s).max())[1])
+        sq = t * t
+        ratios = np.divide(sq, norms, out=np.zeros_like(sq), where=live)
+        target = ratios[rng.choice(np.flatnonzero(live))]
+        if 2.0 * target > ratios.max():
+            frob_sq = float(sq.sum()) / (2.0 * target - ratios.max())
+    return s, norms, frob_sq
+
+
+@PROPERTY_SETTINGS
+@given(grcd_inputs(), st.integers(0, 2**32 - 1))
+def test_grcd_select_equals_its_earlier_code_bit_for_bit(inputs, seed):
+    s, norms, frob_sq = inputs
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        try:
+            expected = ref_grcd_select(s, norms, frob_sq, rng_ref)
+        except AllZeroGradient:
+            with pytest.raises(AllZeroGradient):
+                grcd_select(s, norms, frob_sq, rng)
+            assert not s.any()
+            break
+        j, members, threshold = grcd_select(s, norms, frob_sq, rng)
+        j_ref, members_ref, threshold_ref = expected
+        assert j == j_ref and type(j) is int
+        assert members.dtype == members_ref.dtype and members.tobytes() == members_ref.tobytes()
+        assert type(threshold) is float and threshold.hex() == threshold_ref.hex()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 @st.composite

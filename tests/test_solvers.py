@@ -974,6 +974,52 @@ def test_reports_are_bit_identical_to_a_res_check_at_every_step(storage, method)
                 hashlib.sha256(report.solution.tobytes()).hexdigest()[:16]) == pinned
 
 
+def _grcd_problem(storage, zero_column):
+    """The pinned problem of `storage` without its known solution, or with
+    column 7 zeroed, its known solution's entry 7 set to 0 and the rhs
+    recomputed, so that grcd takes its masked zero-column path."""
+    problem = _pinned_rgs_problem(storage)
+    if not zero_column:
+        return dataclasses.replace(problem, known_solution=None)
+    D = problem.matrix.toarray() if storage == "csc" else np.array(problem.matrix)
+    D[:, 7] = 0.0
+    A = sparse.csc_array(D) if storage == "csc" else np.asfortranarray(D)
+    x_star = problem.known_solution.copy()
+    x_star[7] = 0.0
+    return LsqProblem(matrix=A, rhs=A @ x_star, known_solution=x_star)
+
+
+# (iterations, stop reason, final_res.hex(), first 16 hex digits of the
+# SHA-256 of solution.tobytes()) of untraced seed-3 grcd solves at tol
+# 1e-6 and 1e-12, recorded before grcd_select was trimmed: on the pinned
+# problems with no known solution (the gradient stop of `fit`), and with a
+# zero column.
+GRCD_PINNED = {
+    ("dense", "gradient-stop"): [(127, "gradient_reached", "0x1.fb3ca93a316d1p-21", "67f159e184a323db"),
+                                 (267, "gradient_reached", "0x1.0c89142080d9fp-40", "060344c0edf8eeb6")],
+    ("dense", "zero-column"): [(135, "res_reached", "0x1.02aac01c85cd4p-20", "c2d44ffc2fa9cb0c"),
+                               (279, "res_reached", "0x1.137c74459948ep-40", "863443b9fdf398ac")],
+    ("csc", "gradient-stop"): [(520, "gradient_reached", "0x1.07a1478e36ec3p-20", "ee0963529c8abc93"),
+                               (1337, "gradient_reached", "0x1.165c6d5815070p-40", "4e58c6b33bb55d7c")],
+    ("csc", "zero-column"): [(642, "res_reached", "0x1.0bd19f415514cp-20", "0835267ec0c2822d"),
+                             (1486, "res_reached", "0x1.19343457132b1p-40", "0256e713ad664cd1")],
+}
+
+
+@pytest.mark.parametrize("case", ["gradient-stop", "zero-column"])
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_grcd_reports_are_bit_identical_to_the_untrimmed_selection(monkeypatch, storage, case):
+    problem = _grcd_problem(storage, zero_column=case == "zero-column")
+    calls = _count_calls(monkeypatch, "grcd_select")
+    for tol, pinned in zip([1e-6, 1e-12], GRCD_PINNED[storage, case]):
+        calls.clear()
+        report = solve(problem, SolverConfig(method=Method.GRCD, seed=3, res_tolerance=tol))
+        assert (report.iterations, report.stop_reason.value, report.final_res.hex(),
+                hashlib.sha256(report.solution.tobytes()).hexdigest()[:16]) == pinned
+        # One selection per step, through the module attribute.
+        assert len(calls) == report.iterations
+
+
 def _outcome(problem, config):
     """Everything a solve reports, or the error it raises."""
     try:
