@@ -312,6 +312,8 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     s_norm_sq = float(np.add.reduce(sq))
     if s_norm_sq == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
+    # The where= divide and the live mask take about a third of a call
+    # at n = 50-250, so only a matrix with a zero column runs them.
     if col_norms_sq.item(col_norms_sq.argmin()) > 0.0:
         ratios = sq / col_norms_sq
         live = None
