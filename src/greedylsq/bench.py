@@ -12,6 +12,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 
+from .analysis import gram_matrix
 from .problems import (
     RHS_SEED_OFFSET,
     ManifestEntry,
@@ -20,7 +21,7 @@ from .problems import (
     make_consistent,
     make_inconsistent,
 )
-from .solvers import Method, SolverConfig, StopReason, solve
+from .solvers import Method, SolverConfig, StopReason, gram_fits, solve
 
 
 @dataclass
@@ -45,7 +46,7 @@ class TrialRecord:
     trial: int
     method: Method
     iterations: int
-    cpu_seconds: float  # perf_counter wall time of the solve, not CPU time
+    cpu_seconds: float  # perf_counter wall time of the solve (without G), not CPU time
     stop_reason: StopReason
     final_res: float
 
@@ -84,13 +85,15 @@ def build_trial_problem(entry, base_seed, trial, file_matrix=None):
 def run_experiment(spec):
     """Run every method of the spec over ``repeats`` trials and average.
 
-    Each trial builds one problem instance shared by all methods; the
+    Each trial builds one problem instance shared by all methods, and,
+    when it fits (solvers.gram_fits), one G = A^T A that every method's
+    solve is handed and that is dropped before the next trial.  The
     randomized methods are seeded with base seed + trial index.  Trials
     that hit the iteration cap are excluded from the averages with a
-    warning.  Timing covers the solve only (column-norm precomputation
-    included, problem generation not).  No untimed warmup solve runs,
-    so the first method of a trial also pays the first touch of the
-    fresh problem.
+    warning.  Timing covers the solve, column norms included; problem
+    generation and the trial's shared G are not timed.  No untimed warmup
+    solve runs: the G build touches the fresh matrix first, and when no G
+    fits, the first method of a trial pays that first touch.
     """
     entry = spec.problem
     file_matrix = load_matrix_market(entry.path) if entry.kind == "file" else None
@@ -98,6 +101,7 @@ def run_experiment(spec):
 
     for t in range(spec.repeats):
         problem = build_trial_problem(entry, spec.base_seed, t, file_matrix)
+        gram = gram_matrix(problem.matrix) if gram_fits(problem.matrix) else None
         for method in spec.methods:
             config = SolverConfig(
                 method=method,
@@ -105,7 +109,7 @@ def run_experiment(spec):
                 res_tolerance=spec.res_tolerance,
                 seed=spec.base_seed + t,
             )
-            report = solve(problem, config)
+            report = solve(problem, config, gram=gram)
             result.trials.append(TrialRecord(
                 trial=t,
                 method=method,
@@ -114,6 +118,7 @@ def run_experiment(spec):
                 stop_reason=report.stop_reason,
                 final_res=report.final_res,
             ))
+        del gram
 
     for method in spec.methods:
         ok = [rec for rec in result.trials if rec.method is method and not rec.failed]

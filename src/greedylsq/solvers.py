@@ -19,28 +19,36 @@ column is selected:
 Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
 which zeroes the gradient entry of the chosen column.  The gradient
 s = A^T r, when a method, the trace or the stopping rule needs it, comes
-with the dense Gram matrix G = A^T A, built just before the first step,
-and the loop then keeps x and s only: alpha = s[j] / ||A[:, j]||^2 and
-s -= alpha * G[j], O(n) per step with no pass over A.  s is recomputed
-fresh as A^T (b - A x) at every drift checkpoint, whenever its largest
-entry has fallen by GRADIENT_FALL_REFRESH since its last fresh value, at
-every step once that entry is below GRADIENT_ROUNDING_LEVEL times its
-initial value, and before a stop on the gradient rule or at the iteration
-cap in gradient-stop mode, so no reported gradient stop rests on
-accumulated rounding.
+with the dense Gram matrix G = A^T A, built just before the first step or
+passed in by the caller, and the loop then keeps x and s only:
+alpha = s[j] / ||A[:, j]||^2 and s -= alpha * G[j], O(n) per step with
+no pass over A.  s is recomputed fresh as A^T (b - A x) at every drift
+checkpoint, whenever its largest entry has fallen by
+GRADIENT_FALL_REFRESH since its last fresh value, at every step once that
+entry is below GRADIENT_ROUNDING_LEVEL times its initial value, and
+before a stop on the gradient rule or at the iteration cap in
+gradient-stop mode, so no reported gradient stop rests on accumulated
+rounding.
 
 rgs with a known solution and no trace needs no gradient: it takes its
 first n steps (n columns) on the residual r, one column dot and one
-column axpy each, then builds G and takes every later step in the dot
-form alpha = ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, O(n) with no kept
-state besides x.  A short solve thus never pays the O(m n^2) of G, and a
-long one pays it once, when the residual steps so far have cost about
-as much as G.
+column axpy each, then builds G (or takes the one passed in) and takes
+every later step in the dot form
+alpha = ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, O(n) with no kept state
+besides x.  A short solve thus never pays the O(m n^2) of G, and a long
+one pays it once, when the residual steps so far have cost about as much
+as G.
+
+A caller that solves one problem several times, as bench does with each
+method of a trial, may build G once with gram_matrix(problem.matrix) and
+pass it to every solve.  solve uses a passed G exactly where it would
+build its own, so no report changes in any bit, and it keeps no G across
+calls.
 
 G takes n*n*8 bytes; when that exceeds both the matrix's own stored
-bytes and GRAM_BUDGET_BYTES, no G is built and the loop keeps x and r
-throughout, with A^T r recomputed after every step if the gradient is
-needed.
+bytes and GRAM_BUDGET_BYTES (gram_fits), no G is built, a passed one is
+ignored, and the loop keeps x and r throughout, with A^T r recomputed
+after every step if the gradient is needed.
 
 res = ||x - x*||^2 / ||x*||^2 is computed with x* and every x - x* taken
 times the power of two that brings max|x*| into [0.5, 1), an exact
@@ -393,6 +401,14 @@ def _stored_bytes(A):
     return A.nbytes
 
 
+def gram_fits(A):
+    """Whether a solve on A keeps a dense G = A^T A: its n*n*8 bytes fit
+    in the matrix's own stored bytes or in GRAM_BUDGET_BYTES, read at
+    call time."""
+    n = A.shape[1]
+    return n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES)
+
+
 def _residual_drift(A, x, b, r):
     """Distance of r from b - A x, relative to ||b|| = ||r_0||; r then holds
     b - A x.
@@ -428,24 +444,30 @@ def _gradient_drift(G, x, s, atb):
     return float(np.linalg.norm(diff / scale) / np.linalg.norm(atb / scale))
 
 
-def solve(problem, config):
+def solve(problem, config, gram=None):
     """Run the configured method on a least-squares problem.
 
     Starts from x = 0, so r = b.  Stops when the squared relative solution
     error reaches ``res_tolerance`` (a known solution with a nonzero
     entry), when the squared gradient norm falls to ``res_tolerance``
     times its initial value (no known solution, or an all-zero one), or at
-    the iteration cap.
+    the iteration cap.  G = A^T A is built just before the first step that
+    uses it, or passed in as ``gram``.
 
     Args:
         problem: an LsqProblem, whose construction checked its inputs.
         config: a SolverConfig.
+        gram: None, or gram_matrix(problem.matrix), which the solve then
+            uses where it would build G, with the same report in every
+            bit; it is only read.  When no G fits (gram_fits), a passed
+            gram is ignored.
 
     Returns:
         SolveReport with the solution, iteration count, stop reason,
         elapsed wall time and (optionally) the per-iteration trace.
 
     Raises:
+        ValueError: if gram is neither None nor an (n, n) float64 ndarray.
         NonFiniteValue: if A (through its squared column norms), b, the
             known solution or ||A^T b||^2 is not finite, if the gradient
             rule's threshold res_tolerance * ||A^T b||^2 is below the
@@ -461,6 +483,9 @@ def solve(problem, config):
     """
     A, b, x_star = problem.matrix, problem.rhs, problem.known_solution
     n = A.shape[1]
+    if gram is not None and not (isinstance(gram, np.ndarray) and gram.shape == (n, n)
+                                 and gram.dtype == np.float64):
+        raise ValueError(f"gram must be an ({n}, {n}) float64 ndarray, gram_matrix(problem.matrix)")
 
     method = config.method
     select = _SELECT[method]
@@ -521,14 +546,14 @@ def solve(problem, config):
             raise NonFiniteValue(
                 f"the gradient rule's threshold tol * ||A^T b||^2 = {tol * grad0_sq:.3e} "
                 "underflows below the normal float range though A^T b is nonzero")
-    # G is built just before step gram_step, if it fits.  Without the
-    # gradient (rgs with a known solution and no trace) the first n steps
-    # run on the residual, at two column passes each.  Building G takes
-    # roughly as long as n such steps, so a solve shorter than that never
-    # pays for G, and a longer one pays for it once.
+    # G is built, or the passed gram taken, just before step gram_step, if
+    # it fits.  Without the gradient (rgs with a known solution and no
+    # trace) the first n steps run on the residual, at two column passes
+    # each.  Building G takes roughly as long as n such steps, so a solve
+    # shorter than that never pays for G, and a longer one pays for it once.
     G = None
     gram_step = None
-    if n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES):
+    if gram_fits(A):
         gram_step = 0 if need_gradient else n
 
     def drift():
@@ -641,7 +666,7 @@ def solve(problem, config):
                 # The residual's drift is measured once more; r is then unused.
                 max_drift = max(max_drift, drift())
                 atb = transpose_matvec(A, b)
-            G = gram_matrix(A)
+            G = gram_matrix(A) if gram is None else gram
 
         if estimate:
             d = x.item(j) * scale - x_star_entries[j]

@@ -4,9 +4,11 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import data_path
 
+from greedylsq import bench, solvers
 from greedylsq.bench import (
     ExperimentResult,
     ExperimentSpec,
@@ -15,7 +17,7 @@ from greedylsq.bench import (
     emit_table,
     run_experiment,
 )
-from greedylsq.problems import LsqProblem, ManifestEntry
+from greedylsq.problems import LsqProblem, ManifestEntry, save_matrix_market
 from greedylsq.solvers import Method, SolverConfig, solve
 
 
@@ -89,6 +91,56 @@ def test_failed_trials_excluded_with_warning():
         result = run_experiment(spec)
     assert result.failed_trials == 2
     assert Method.GGS not in result.mean_it
+
+
+def _count_gram_builds(monkeypatch):
+    """Count gram_matrix calls through bench's and solvers' module attributes."""
+    calls = []
+    for module in (bench, solvers):
+        original = module.gram_matrix
+        monkeypatch.setattr(module, "gram_matrix",
+                            lambda A, original=original: calls.append(1) or original(A))
+    return calls
+
+
+def _check_records_equal_plain_solves(spec, result):
+    """Every record's counts and final_res equal a plain solve of its trial's problem."""
+    for rec in result.trials:
+        problem = build_trial_problem(spec.problem, spec.base_seed, rec.trial)
+        config = SolverConfig(method=rec.method, max_iterations=spec.max_iterations,
+                              res_tolerance=spec.res_tolerance, seed=spec.base_seed + rec.trial)
+        report = solve(problem, config)
+        assert (rec.iterations, rec.stop_reason, rec.final_res.hex()) == \
+               (report.iterations, report.stop_reason, report.final_res.hex())
+
+
+def test_each_trial_builds_one_gram_matrix_for_all_its_methods(monkeypatch):
+    spec = ExperimentSpec(problem=random_entry(m=200, n=10), methods=["ggs", "grcd", "rgs"],
+                          repeats=3, base_seed=6)
+    grams = _count_gram_builds(monkeypatch)
+    result = run_experiment(spec)
+    assert len(grams) == 3
+    # Solved one by one, the same trials build a G per solve: rgs runs
+    # past its n residual steps too.
+    grams.clear()
+    _check_records_equal_plain_solves(spec, result)
+    assert len(grams) == 9
+
+
+def test_a_trial_whose_gram_matrix_does_not_fit_builds_none(monkeypatch, tmp_path):
+    rng = np.random.default_rng(91)
+    D = rng.standard_normal((300, 60))
+    D[rng.random((300, 60)) > 0.05] = 0.0
+    path = tmp_path / "sparse.mtx"
+    save_matrix_market(sparse.csc_array(D), path)
+    entry = ManifestEntry(label="csc", kind="file", path=str(path), consistent=True)
+    spec = ExperimentSpec(problem=entry, methods=["ggs", "grcd", "rgs"], repeats=2, base_seed=6)
+    monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    assert not solvers.gram_fits(build_trial_problem(entry, spec.base_seed, 0).matrix)
+    grams = _count_gram_builds(monkeypatch)
+    result = run_experiment(spec)
+    assert len(grams) == 0
+    _check_records_equal_plain_solves(spec, result)
 
 
 def synthetic_result():

@@ -782,6 +782,73 @@ def test_gradient_stop_holds_for_a_fresh_gradient(method):
 
 
 # ---------------------------------------------------------------------------
+# a Gram matrix passed in
+# ---------------------------------------------------------------------------
+
+def _full_report(report):
+    """Every field of a report, floats as bits, the trace record by record."""
+    trace = None if report.trace is None else [dataclasses.astuple(rec) for rec in report.trace]
+    return (report.solution.tobytes(), report.iterations, report.stop_reason,
+            report.final_res.hex(), report.max_drift_rel.hex(), trace)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("stop", ["res", "gradient"])
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_a_passed_gram_matrix_changes_no_bit_of_the_report(monkeypatch, method, storage, stop,
+                                                            traced):
+    problem = _dense_or_sparse_problem(storage)
+    if stop == "gradient":
+        problem = dataclasses.replace(problem, known_solution=None)
+    n = problem.matrix.shape[1]
+    config = SolverConfig(method=method, seed=1, record_trace=traced)
+    gram = gram_matrix(problem.matrix)
+    untouched = gram.copy()
+    steps = _count_calls(monkeypatch, "step")
+    built = solve(problem, config)
+    built_steps = len(steps)
+    grams = _count_calls(monkeypatch, "gram_matrix")
+    steps.clear()
+    passed = solve(problem, config, gram=gram)
+    assert _full_report(passed) == _full_report(built)
+    assert len(grams) == 0 and np.array_equal(gram, untouched)
+    # Untraced rgs with a known solution still takes its first n steps on
+    # the residual, then takes up the passed G; the rest step on G alone.
+    assert len(steps) == built_steps == (n if method is Method.RGS and stop == "res" and not traced
+                                         else 0)
+    assert passed.iterations > n
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+def test_a_gram_matrix_that_is_not_n_by_n_float64_is_refused_before_any_step(monkeypatch,
+                                                                              storage):
+    problem = _dense_or_sparse_problem(storage)
+    n = problem.matrix.shape[1]
+    G = gram_matrix(problem.matrix)
+    norms = _count_calls(monkeypatch, "column_norms_sq")
+    for bad in (G.tolist(), G.astype(np.float32), G.astype(np.int64), G[:-1, :-1], G.ravel(),
+                np.zeros((n, n + 1)), sparse.csc_array(G), 1.0):
+        with pytest.raises(ValueError, match=rf"gram must be an \({n}, {n}\) float64 ndarray"):
+            solve(problem, SolverConfig(), gram=bad)
+    assert len(norms) == 0
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_a_passed_gram_matrix_over_the_budget_is_ignored(monkeypatch, method):
+    problem = _sparse_problem()
+    gram = gram_matrix(problem.matrix)
+    monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    assert not solvers.gram_fits(problem.matrix)
+    config = SolverConfig(method=method, seed=1)
+    steps = _count_calls(monkeypatch, "step")
+    passed = solve(problem, config, gram=gram)
+    # The residual loop throughout, as without a gram.
+    assert len(steps) == passed.iterations > 0
+    assert _full_report(passed) == _full_report(solve(problem, config))
+
+
+# ---------------------------------------------------------------------------
 # non-finite input
 # ---------------------------------------------------------------------------
 
