@@ -13,14 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .analysis import gram_matrix
-from .problems import (
-    RHS_SEED_OFFSET,
-    ManifestEntry,
-    gen_gaussian,
-    load_matrix_market,
-    make_consistent,
-    make_inconsistent,
-)
+from .problems import ManifestEntry, gen_gaussian, load_matrix_market, synthesize_problem
 from .solvers import Method, SolverConfig, StopReason, gram_fits, solve
 
 
@@ -30,8 +23,8 @@ class ExperimentSpec:
     methods: list[Method]
     repeats: int = 50
     base_seed: int = 1
-    res_tolerance: float = 1e-6
-    max_iterations: int = 200_000
+    res_tolerance: float = SolverConfig.res_tolerance
+    max_iterations: int = SolverConfig.max_iterations
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -70,16 +63,14 @@ class ExperimentResult:
 def build_trial_problem(entry, base_seed, trial, file_matrix=None):
     """Materialize the problem a given trial solves."""
     if entry.kind == "random":
-        matrix_seed = base_seed + trial
-        A = gen_gaussian(entry.rows, entry.cols, matrix_seed)
-        rhs_seed = matrix_seed + RHS_SEED_OFFSET
+        seed = base_seed + trial
+        A = gen_gaussian(entry.rows, entry.cols, seed)
     elif entry.kind == "file":
         A = file_matrix if file_matrix is not None else load_matrix_market(entry.path)
-        rhs_seed = base_seed + RHS_SEED_OFFSET
+        seed = base_seed
     else:
         raise ValueError(f"unknown problem kind {entry.kind!r}")
-    make = make_consistent if entry.consistent else make_inconsistent
-    return make(A, rhs_seed)
+    return synthesize_problem(A, seed, entry.consistent)
 
 
 def run_experiment(spec):

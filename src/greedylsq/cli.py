@@ -14,18 +14,16 @@ from .analysis import grcd_expected_factor, lambda_min_pos, verify_trace
 from .bench import ExperimentSpec, build_trial_problem, emit_convergence_curve, emit_table, run_experiment
 from .exceptions import GreedyLsqError, ParseError, RankDeficient
 from .problems import (
-    RHS_SEED_OFFSET,
     LsqProblem,
     assert_full_column_rank,
     gen_gaussian,
     load_manifest,
     load_matrix_market,
     load_vector,
-    make_consistent,
-    make_inconsistent,
     matrix_density,
     save_matrix_market,
     save_vector,
+    synthesize_problem,
 )
 from .solvers import Method, SolverConfig, StopReason, solve
 
@@ -76,10 +74,15 @@ def _add_matrix_args(p):
                    help="generate a random normal M x N matrix instead of reading a file")
 
 
+def _add_stop_args(p):
+    """--tol and --max-iters, with SolverConfig's defaults."""
+    p.add_argument("--tol", type=_TOL, default=SolverConfig.res_tolerance)
+    p.add_argument("--max-iters", type=_COUNT, default=SolverConfig.max_iterations)
+
+
 def _add_solver_args(p):
     p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
-    p.add_argument("--tol", type=_TOL, default=1e-6)
-    p.add_argument("--max-iters", type=_COUNT, default=200_000)
+    _add_stop_args(p)
     p.add_argument("--seed", type=_SEED, default=0)
 
 
@@ -106,20 +109,18 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")
-    p.add_argument("--repeats", type=_COUNT, default=50)
-    p.add_argument("--seed", type=_SEED, default=1)
+    p.add_argument("--repeats", type=_COUNT, default=ExperimentSpec.repeats)
+    p.add_argument("--seed", type=_SEED, default=ExperimentSpec.base_seed)
     p.add_argument("--out", default=".", help="output directory for tables and curves")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--methods", type=_method_list, default="ggs,grcd",
                    help="comma-separated methods to compare")
-    p.add_argument("--tol", type=_TOL, default=1e-6)
-    p.add_argument("--max-iters", type=_COUNT, default=200_000)
+    _add_stop_args(p)
 
     p = sub.add_parser("verify-bounds", help="check a greedy run against its convergence theory")
     _add_matrix_args(p)
     _add_rhs_args(p, allow_file_rhs=False)
-    p.add_argument("--tol", type=_TOL, default=1e-6)
-    p.add_argument("--max-iters", type=_COUNT, default=200_000)
+    _add_stop_args(p)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", metavar="PATH", help="write the full text report here")
     p.add_argument("--csv", metavar="PATH", help="append a machine-readable summary row here")
@@ -163,12 +164,6 @@ def _load_cli_matrix(args, parser):
     return load_matrix_market(_input(args.matrix, "matrix file")), args.matrix
 
 
-def _synthesized(args, A):
-    """The problem on ``A`` with a synthesized rhs: inconsistent under --inconsistent, else consistent."""
-    make = make_inconsistent if args.inconsistent else make_consistent
-    return make(A, args.seed + RHS_SEED_OFFSET)
-
-
 def cmd_solve(args, parser):
     A, label = _load_cli_matrix(args, parser)
     if args.rhs is not None:
@@ -178,7 +173,7 @@ def cmd_solve(args, parser):
                              f"but the matrix has {A.shape[0]} rows")
         problem = LsqProblem(matrix=A, rhs=rhs)
     elif args.consistent or args.inconsistent:
-        problem = _synthesized(args, A)
+        problem = synthesize_problem(A, args.seed, not args.inconsistent)
     else:
         parser.error("one of --rhs, --consistent or --inconsistent is required")
     config = SolverConfig(
@@ -263,7 +258,7 @@ def _write_curve(entry, spec, out_dir):
 
 def cmd_verify_bounds(args, parser):
     A, label = _load_cli_matrix(args, parser)
-    problem = _synthesized(args, A)
+    problem = synthesize_problem(A, args.seed, not args.inconsistent)
     lam = lambda_min_pos(A)
     config = SolverConfig(
         method=Method.GGS,
@@ -306,7 +301,7 @@ def cmd_verify_bounds(args, parser):
 
 def cmd_gen(args, parser):
     A, _ = _random_matrix(args, parser)
-    problem = _synthesized(args, A)
+    problem = synthesize_problem(A, args.seed, not args.inconsistent)
     os.makedirs(args.out, exist_ok=True)
     matrix_path = os.path.join(args.out, "matrix.mtx")
     rhs_path = os.path.join(args.out, "rhs.txt")

@@ -19,7 +19,7 @@ class BaseCoordinateDescent:
 
     _method = None
 
-    def __init__(self, tol=1e-6, max_iter=200_000, seed=0):
+    def __init__(self, tol=SolverConfig.res_tolerance, max_iter=SolverConfig.max_iterations, seed=0):
         self.tol = tol
         self.max_iter = max_iter
         self.seed = seed
@@ -93,7 +93,7 @@ class GreedyGaussSeidel(BaseCoordinateDescent):
 
     _method = Method.GGS
 
-    def __init__(self, tol=1e-6, max_iter=200_000):
+    def __init__(self, tol=SolverConfig.res_tolerance, max_iter=SolverConfig.max_iterations):
         self.tol = tol
         self.max_iter = max_iter
 

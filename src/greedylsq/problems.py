@@ -109,6 +109,14 @@ def make_inconsistent(A, seed):
     return LsqProblem(matrix=A, rhs=matvec(A, x_true) + r0, known_solution=x_true)
 
 
+def synthesize_problem(A, seed, consistent):
+    """The problem on A with a synthesized rhs, the one rule of bench and
+    the CLI: make_consistent, or make_inconsistent, on the rhs stream
+    seed + RHS_SEED_OFFSET, independent of a matrix drawn from ``seed``."""
+    make = make_consistent if consistent else make_inconsistent
+    return make(A, seed + RHS_SEED_OFFSET)
+
+
 def _gram_factor(A):
     G = gram_matrix(A)
     gram_extreme_eigenvalues(G)  # the one rank test decides; cho_factor's own failure stays handled

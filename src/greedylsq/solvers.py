@@ -138,7 +138,9 @@ class SolverConfig:
     """Knobs for a single solve.
 
     Every solve starts from x = 0, and greedy ties are judged with the
-    constant TIE_TOLERANCE_REL.
+    constant TIE_TOLERANCE_REL.  The defaults of max_iterations and
+    res_tolerance are also those of bench, the estimators and the CLI,
+    which read them from here.
 
     Args:
         method: which selection rule to run.
@@ -409,39 +411,22 @@ def gram_fits(A):
     return n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES)
 
 
-def _residual_drift(A, x, b, r):
-    """Distance of r from b - A x, relative to ||b|| = ||r_0||; r then holds
-    b - A x.
+def _relative_drift(diff, ref):
+    """||diff|| / ||ref||, the drift of kept state judged relative to its
+    value at x = 0 (b for r, A^T b for s): on consistent problems the
+    current state shrinks to rounding level, so normalizing by it would be
+    meaningless.
 
-    Drift is judged relative to the value at x = 0: on consistent problems
-    the current residual shrinks to rounding level, so normalizing by it
-    would be meaningless.  The same holds for _gradient_drift.  Both norms
-    are taken on the vectors times the power of two that brings max|b|
-    into [0.5, 1), which changes no bit of the ratio but keeps either
-    norm from overflowing near the top of the float range.
+    Both norms are taken on the vectors times the power of two that
+    brings max|ref| into [0.5, 1) (_unit_scaled), which changes no bit of
+    the ratio but keeps either norm from overflowing near the top of the
+    float range.
     """
-    fresh = b - matvec(A, x)
-    diff = r - fresh
-    r[:] = fresh
-    b_max = np.abs(b).max()
-    if b_max == 0.0:
+    ref_max = np.abs(ref).max()
+    if ref_max == 0.0:
         return float(np.linalg.norm(diff))
-    return (float(np.linalg.norm(_unit_scaled(diff, b_max)))
-            / float(np.linalg.norm(_unit_scaled(b, b_max))))
-
-
-def _gradient_drift(G, x, s, atb):
-    """Distance of s from A^T b - G x, relative to ||A^T b|| = ||s_0||, at
-    O(n^2) with no pass over A.
-
-    Both norms are taken after dividing by max|A^T b|, so neither
-    overflows when A^T b is near the top of the float range.
-    """
-    diff = s - (atb - G @ x)
-    scale = np.abs(atb).max()
-    if scale == 0.0:
-        return float(np.linalg.norm(diff))
-    return float(np.linalg.norm(diff / scale) / np.linalg.norm(atb / scale))
+    return (float(np.linalg.norm(_unit_scaled(diff, ref_max)))
+            / float(np.linalg.norm(_unit_scaled(ref, ref_max))))
 
 
 def solve(problem, config, gram=None):
@@ -473,13 +458,14 @@ def solve(problem, config, gram=None):
             rule's threshold res_tolerance * ||A^T b||^2 is below the
             normal float range though A^T b is nonzero, or if the stop
             measure stops being finite during the run.
-        RankDeficient: with a known solution, in two cases where it is
+        RankDeficient: with a known solution, in three cases where it is
             not the only least-squares solution and cannot be reached.
             Before the first step, if A has zero columns and the known
             solution's share on them, ||x*[zero]||^2 / ||x*||^2, is above
             ``res_tolerance``: no method ever moves x off 0 there, so res
-            cannot fall below that share.  During the run, if the gradient
-            A^T r becomes exactly zero while res is above the tolerance.
+            cannot fall below that share; else if A has fewer rows than
+            columns.  During the run, if the gradient A^T r becomes
+            exactly zero while res is above the tolerance.
     """
     A, b, x_star = problem.matrix, problem.rhs, problem.known_solution
     n = A.shape[1]
@@ -529,6 +515,11 @@ def solve(problem, config, gram=None):
                 f"res cannot fall below {res_floor:.3e} at iteration 0, above the tolerance "
                 f"{tol:.1e}: no step moves x on the {unreachable.size} zero column(s), so "
                 "the known solution is not the only least-squares solution")
+        if A.shape[0] < n:
+            raise RankDeficient(
+                f"at iteration 0 the matrix has {A.shape[0]} rows, fewer than its {n} columns, "
+                f"so its rank is below {n} and the known solution is not the only "
+                "least-squares solution")
     # The gradient is needed for selection by every method except rgs,
     # and for the trace and the gradient stopping rule regardless of method.
     need_gradient = method is not Method.RGS or record or not use_res_stop
@@ -558,11 +549,15 @@ def solve(problem, config, gram=None):
 
     def drift():
         """Relative drift of the kept state from its value rebuilt from x:
-        of s when G is held, else of r, which then takes the rebuilt value.
-        The dot form keeps no state, so it has none."""
+        of s when G is held, at O(n^2) with no pass over A, else of r,
+        which then takes the rebuilt value.  The dot form keeps no state,
+        so it has none."""
         if G is None:
-            return _residual_drift(A, x, b, r)
-        return _gradient_drift(G, x, s, atb) if need_gradient else 0.0
+            fresh = b - matvec(A, x)
+            diff = r - fresh
+            r[:] = fresh
+            return _relative_drift(diff, b)
+        return _relative_drift(s - (atb - G @ x), atb) if need_gradient else 0.0
 
     def measure(x, s, k):
         """State of iterate k: (squared gradient norm, res, stop measure,

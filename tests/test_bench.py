@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import shutil
 
@@ -52,6 +53,31 @@ def test_trial_problem_shared_and_deterministic():
     assert np.array_equal(p1.known_solution, p2.known_solution)
     p3 = build_trial_problem(entry, base_seed=5, trial=3)
     assert not np.array_equal(p1.matrix, p3.matrix)
+
+
+# SHA-256 prefixes of (rhs, known_solution) of build_trial_problem(entry,
+# base_seed=7, trial), recorded when bench still coded the rhs seed rule
+# itself.  File rows keep one rhs across trials.
+TRIAL_RHS_PINS = {
+    ("random-consistent", 0): ("a952a49a2e2da455", "584ada5eda39ae98"),
+    ("random-consistent", 1): ("06fa8aa22db080db", "60c61c3483bee0ed"),
+    ("random-inconsistent", 0): ("261d6e6434eb8e8b", "584ada5eda39ae98"),
+    ("random-inconsistent", 1): ("d773b13b53c9d210", "60c61c3483bee0ed"),
+    ("file-consistent", 0): ("ae353f7cf1c1991f", "865018253c05dd03"),
+    ("file-consistent", 1): ("ae353f7cf1c1991f", "865018253c05dd03"),
+    ("file-inconsistent", 0): ("222943b5fc97fd6f", "865018253c05dd03"),
+    ("file-inconsistent", 1): ("222943b5fc97fd6f", "865018253c05dd03"),
+}
+
+
+@pytest.mark.parametrize("row, trial", sorted(TRIAL_RHS_PINS))
+def test_trial_problems_keep_their_rhs_seed_rule(row, trial):
+    kind, consistency = row.split("-")
+    entry = ManifestEntry(label=row, kind=kind, rows=40, cols=5, path=data_path("fixture3x2.mtx"),
+                          consistent=consistency == "consistent")
+    problem = build_trial_problem(entry, base_seed=7, trial=trial)
+    assert tuple(hashlib.sha256(v.tobytes()).hexdigest()[:16]
+                 for v in (problem.rhs, problem.known_solution)) == TRIAL_RHS_PINS[row, trial]
 
 
 def test_rhs_stream_independent_of_matrix_stream():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import shutil
 import subprocess
@@ -285,6 +286,25 @@ def test_gen_writes_vectors_at_full_precision(tmp_path, capsys):
     assert (tmp_path / "rhs.txt").read_text() == (
         "0.67992667697106124\n1.4914765411188446\n-1.0294480899210359\n-0.14655069110756477\n")
     assert (tmp_path / "solution.txt").read_text() == "-0.67387141928473215\n0.57203156112751885\n"
+
+
+# SHA-256 prefixes of the files `gen --random 30 4 3 --seed 5` writes,
+# recorded when the CLI still coded the rhs seed rule itself.
+GEN_FILE_PINS = {
+    "--consistent": {"matrix.mtx": "4f2ca78f35a18a2c", "rhs.txt": "8c668dabe9e9144a",
+                     "solution.txt": "c37e04f45e97d07b"},
+    "--inconsistent": {"matrix.mtx": "4f2ca78f35a18a2c", "rhs.txt": "330ef3aefdc96e08",
+                       "solution.txt": "c37e04f45e97d07b"},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(GEN_FILE_PINS))
+def test_gen_files_keep_their_rhs_seed_rule(tmp_path, capsys, flag):
+    code, _, _ = run_cli(capsys, "gen", "--random", "30", "4", "3", "--seed", "5", flag,
+                         "--out", str(tmp_path))
+    assert code == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in GEN_FILE_PINS[flag]} == GEN_FILE_PINS[flag]
 
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):

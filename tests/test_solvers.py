@@ -543,6 +543,52 @@ def test_all_zero_matrix_with_known_solution_raises(method):
         solve(problem, SolverConfig(method=method))
 
 
+def fewer_rows_than_columns():
+    """A 5x8 Gaussian with b = A x_true: x_true is one of many solutions."""
+    rng = np.random.default_rng(58)
+    A = rng.standard_normal((5, 8))
+    x_true = rng.standard_normal(8)
+    return LsqProblem(matrix=A, rhs=A @ x_true, known_solution=x_true)
+
+
+# (iterations, stop reason, final_res.hex(), SHA-256 prefix of the
+# solution) of the gradient-stop solves of fewer_rows_than_columns(),
+# recorded before the m < n rule was added.
+FEWER_ROWS_GRADIENT_STOPS = {
+    ("dense", "ggs"): (22, "gradient_reached", "0x1.cbb2a6bce5351p-21", "66efe9bb7a2ee0a8"),
+    ("dense", "ggs-random"): (22, "gradient_reached", "0x1.cbb2a6bce5351p-21", "66efe9bb7a2ee0a8"),
+    ("dense", "grcd"): (30, "gradient_reached", "0x1.b8a35d2cd1ba1p-21", "0b110ebca50da32b"),
+    ("dense", "rgs"): (161, "gradient_reached", "0x1.3ae5e6fbd9376p-21", "3d56c2a93f6f8ac6"),
+    ("csc", "ggs"): (22, "gradient_reached", "0x1.cbb2a6bce5216p-21", "857de2c73f3a0b40"),
+    ("csc", "ggs-random"): (22, "gradient_reached", "0x1.cbb2a6bce5216p-21", "857de2c73f3a0b40"),
+    ("csc", "grcd"): (30, "gradient_reached", "0x1.b8a35d2cd2091p-21", "cc05b7bfc6717664"),
+    ("csc", "rgs"): (161, "gradient_reached", "0x1.3ae5e6fbd9400p-21", "a3d825962dffdd92"),
+}
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_fewer_rows_than_columns_with_known_solution_raises_before_the_first_step(
+        monkeypatch, method, storage):
+    problem = fewer_rows_than_columns()
+    if storage == "csc":
+        problem = dataclasses.replace(problem, matrix=sparse.csc_array(problem.matrix))
+    grams = _count_calls(monkeypatch, "gram_matrix")
+    selections = _count_calls(monkeypatch, "rgs_select" if method is Method.RGS else "ggs_select")
+    with pytest.raises(RankDeficient) as raised:
+        solve(problem, SolverConfig(method=method, seed=4))
+    assert str(raised.value) == (
+        "at iteration 0 the matrix has 5 rows, fewer than its 8 columns, so its rank is below 8 "
+        "and the known solution is not the only least-squares solution")
+    assert (len(grams), len(selections)) == (0, 0)
+
+    # Without the known solution the gradient stop runs as before.
+    report = solve(dataclasses.replace(problem, known_solution=None), SolverConfig(method=method, seed=4))
+    assert (report.iterations, report.stop_reason.value, report.final_res.hex(),
+            hashlib.sha256(report.solution.tobytes()).hexdigest()[:16]) == \
+        FEWER_ROWS_GRADIENT_STOPS[storage, method.value]
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_zero_column_without_known_solution_runs(method):
     problem = dataclasses.replace(zero_column_probe(), known_solution=None)
@@ -578,6 +624,41 @@ def test_drift_is_measured_near_the_top_of_the_float_range():
                for c in (1.0, 2.0**500)]
     assert reports[0].iterations == reports[1].iterations
     assert reports[1].max_drift_rel == reports[0].max_drift_rel > 0.0
+
+
+# max_drift_rel.hex() of the residual loop (GRAM_BUDGET_BYTES = 0) on
+# _sparse_problem() with seed 3, at both scales of the test below, recorded
+# with the residual drift code that _relative_drift replaced.
+RESIDUAL_DRIFT_PINS = {
+    ("ggs", True): "0x1.9d2e08d6e3ef2p-53",
+    ("ggs-random", True): "0x1.9d2e08d6e3ef2p-53",
+    ("grcd", True): "0x1.884216189924dp-53",
+    ("rgs", True): "0x1.e60b0997a7c7ap-53",
+    ("ggs", False): "0x1.5a23d8d8931bfp-53",
+    ("ggs-random", False): "0x1.5a23d8d8931bfp-53",
+    ("grcd", False): "0x1.62db78ed3f481p-53",
+    ("rgs", False): "0x1.daf2f9377fda3p-53",
+}
+
+
+@pytest.mark.parametrize("known", [True, False], ids=["res-stop", "gradient-stop"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_drift_is_measured_at_extreme_scales(monkeypatch, method, known):
+    # A and b times 2^200 or 2^-200: the Gram-mode drift (dense and CSC)
+    # stays finite and small, and the residual-mode drift keeps its bits.
+    problem = _sparse_problem()
+    x_true = problem.known_solution if known else None
+    config = SolverConfig(method=method, seed=3)
+    for c in (2.0**200, 2.0**-200):
+        dense, csc = (LsqProblem(matrix=matrix * c, rhs=problem.rhs * c, known_solution=x_true)
+                      for matrix in (problem.matrix.toarray(), problem.matrix))
+        for scaled in (dense, csc):
+            drift = solve(scaled, config).max_drift_rel
+            assert math.isfinite(drift) and drift <= 1e-12
+        with monkeypatch.context() as patched:
+            patched.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+            report = solve(csc, config)
+        assert report.max_drift_rel.hex() == RESIDUAL_DRIFT_PINS[method.value, known]
 
 
 # ---------------------------------------------------------------------------
