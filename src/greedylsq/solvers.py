@@ -207,7 +207,8 @@ class SolveReport:
 
 def _greedy_candidates(s, col_norms_sq):
     """Stage 1 of both greedy rules: every column whose gradient magnitude
-    is within TIE_TOLERANCE_REL (relative) of the maximum.
+    is within TIE_TOLERANCE_REL (relative) of the maximum, which is read
+    at argmax, NaN first as max gives it.
 
     Returns:
         (candidate index array, max|s|).
@@ -217,11 +218,12 @@ def _greedy_candidates(s, col_norms_sq):
         ZeroColumn: if a candidate column has zero squared norm.
     """
     abs_s = np.abs(s)
-    s_max = abs_s.max()
+    s_max = abs_s.item(abs_s.argmax())
     if s_max == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
     candidates = (abs_s >= (1.0 - TIE_TOLERANCE_REL) * s_max).nonzero()[0]
-    if col_norms_sq[candidates].min() <= 0.0:
+    if (col_norms_sq.item(candidates.item(0)) <= 0.0 if candidates.size == 1
+            else (col_norms_sq[candidates] <= 0.0).any()):
         raise ZeroColumn("candidate column has zero norm")
     return candidates, s_max
 
@@ -269,14 +271,15 @@ def _scaled_error_sq(x, x_star_unit, scale):
 
 def ggs_select(s, col_norms_sq):
     """Two-stage greedy selection: stage 2 picks the candidate maximizing
-    s[j]^2 / ||A[:, j]||^2, lowest index on ties.
+    s[j]^2 / ||A[:, j]||^2, lowest index on ties.  For float64 inputs each
+    output bit and exception is that of the plain numpy form of the rule.
 
     Returns:
         (chosen index, candidate index array).
     """
     candidates, s_max = _greedy_candidates(s, col_norms_sq)
     if candidates.size == 1:
-        return int(candidates[0]), candidates
+        return candidates.item(0), candidates
     ratios = _candidate_ratios(s, col_norms_sq, candidates, s_max)
     return int(candidates[int(np.argmax(ratios))]), candidates
 
@@ -284,11 +287,13 @@ def ggs_select(s, col_norms_sq):
 def ggs_randomized_select(s, col_norms_sq, rng):
     """Like ggs_select, but samples from the candidate set with
     probability proportional to s[j]^2 / ||A[:, j]||^2.  Every call takes
-    one uniform from rng, also when the set has a single member."""
+    one uniform from rng, also when the set has a single member.  For
+    float64 inputs each output bit and exception, and rng's state, is that
+    of the plain numpy form of the rule."""
     candidates, s_max = _greedy_candidates(s, col_norms_sq)
     if candidates.size == 1:
         rng.random()
-        return int(candidates[0]), candidates
+        return candidates.item(0), candidates
     weights = _candidate_ratios(s, col_norms_sq, candidates, s_max)
     return int(candidates[_sample_inverse_cdf(np.cumsum(weights), rng)]), candidates
 
@@ -454,7 +459,8 @@ def solve(problem, config, gram=None):
     Raises:
         ValueError: if gram is neither None nor an (n, n) float64 ndarray.
         NonFiniteValue: if A (through its squared column norms), b, the
-            known solution or ||A^T b||^2 is not finite, if the gradient
+            known solution, A^T b (when the solve needs the gradient) or
+            ||A^T b||^2 is not finite, if the gradient
             rule's threshold res_tolerance * ||A^T b||^2 is below the
             normal float range though A^T b is nonzero, or if the stop
             measure stops being finite during the run.
@@ -526,6 +532,8 @@ def solve(problem, config, gram=None):
     need_grad_sq = record or not use_res_stop
 
     s = transpose_matvec(A, r) if need_gradient else None
+    if s is not None and not np.isfinite(s).all():
+        raise NonFiniteValue("A^T b has a NaN or infinite entry at iteration 0")
     grad0_sq = None
     if not use_res_stop:
         grad0_sq = float(np.dot(s, s))
@@ -673,12 +681,13 @@ def solve(problem, config, gram=None):
             # rgs needs s[j] only, as one row of G against x.
             x[j] += (atb[j] - G[j] @ x) / col_norms[j]
         else:
-            alpha = s[j] / col_norms[j]
+            alpha = s.item(j) / col_norms.item(j)
             x[j] += alpha
             # G is symmetric, so its row j is column j, stored contiguously.
             s -= alpha * G[j]
             stale = True
-            s_max = float(np.abs(s).max())
+            abs_s = np.abs(s)
+            s_max = abs_s.item(abs_s.argmax())
             refresh = (s_max < GRADIENT_FALL_REFRESH * s_max_fresh
                        or s_max < GRADIENT_ROUNDING_LEVEL * s_max0)
         if estimate:

@@ -17,13 +17,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import ref_grcd_select, ref_rgs_select
+from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_grcd_select, ref_rgs_select
 
 from greedylsq import solvers
 from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, load_matrix_market
-from greedylsq.solvers import Method, SolverConfig, StopReason, grcd_select, rgs_select, solve, step
+from greedylsq.solvers import (
+    TIE_TOLERANCE_REL,
+    Method,
+    SolverConfig,
+    StopReason,
+    ggs_randomized_select,
+    ggs_select,
+    grcd_select,
+    rgs_select,
+    solve,
+    step,
+)
 
 # Fewer steps than a drift checkpoint, so replaying the chosen columns
 # from zero follows the solver's iterates, to rounding.
@@ -257,6 +268,71 @@ def test_grcd_select_equals_its_earlier_code_bit_for_bit(inputs, seed):
         assert j == j_ref and type(j) is int
         assert members.dtype == members_ref.dtype and members.tobytes() == members_ref.tobytes()
         assert type(threshold) is float and threshold.hex() == threshold_ref.hex()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@st.composite
+def ggs_inputs(draw, kind, exponent):
+    """(s, col_norms_sq) for the greedy selections: n from 1 to 40, s
+    scaled by 10**exponent, zero and subnormal gradient entries, and one
+    of five kinds: random, repeated values, which tie on both stages,
+    entries exactly at the tie cut and one ulp below it, a zero-norm
+    column that is the one candidate or one of a tie, and a NaN entry."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.standard_normal(n)
+    norms = rng.random(n) + 0.05
+    if kind == "repeated":
+        s = rng.choice(s[:3], n) * rng.choice([-1.0, 1.0], n)
+        norms = rng.choice(norms[:2], n)
+    s[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    s[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 5e-324 * rng.integers(1, 2**20)
+    s = s * 10.0 ** exponent
+    norms = norms * 10.0 ** draw(st.sampled_from([0, 100, -100]))
+    s_max = np.abs(s).max()
+    if kind == "cut" and s_max > 0.0:
+        cut = (1.0 - TIE_TOLERANCE_REL) * s_max
+        at = rng.permutation(n)[:2]
+        s[at[0]] = cut * rng.choice([-1.0, 1.0])
+        s[at[-1]] = np.nextafter(cut, 0.0) * rng.choice([-1.0, 1.0])
+    elif kind == "zero_column" and s_max > 0.0:
+        top = rng.permutation(n)[:draw(st.integers(1, 3))]
+        s[top] = 2.0 * s_max * rng.choice([-1.0, 1.0], top.size)
+        norms[top[-1]] = 0.0
+    elif kind == "nan":
+        s[rng.integers(n)] = np.nan
+    return s, norms
+
+
+@pytest.mark.parametrize("exponent", [0, 300, -300])
+@pytest.mark.parametrize("kind", ["random", "repeated", "cut", "zero_column", "nan"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_greedy_selections_equal_their_earlier_code_bit_for_bit(kind, exponent, data, seed):
+    s, norms = data.draw(ggs_inputs(kind, exponent))
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = ref_ggs_select(s, norms, TIE_TOLERANCE_REL)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            ggs_select(s, norms)
+        assert raised.type is type(exc)
+    else:
+        j, candidates = ggs_select(s, norms)
+        assert j == expected[0] and type(j) is int
+        assert candidates.dtype == expected[1].dtype and candidates.tobytes() == expected[1].tobytes()
+    for _ in range(3):
+        try:
+            expected = ref_ggs_randomized_select(s, norms, TIE_TOLERANCE_REL, rng_ref)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                ggs_randomized_select(s, norms, rng)
+            assert raised.type is type(exc)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            break
+        j, candidates = ggs_randomized_select(s, norms, rng)
+        assert j == expected[0] and type(j) is int
+        assert candidates.dtype == expected[1].dtype and candidates.tobytes() == expected[1].tobytes()
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -985,6 +985,30 @@ def test_non_finite_error_names_the_quantity():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_overflowing_atb_raises_non_finite_value(monkeypatch, method, storage):
+    # A, b and x* are finite, but A^T b overflows, to NaN where +inf and
+    # -inf terms meet; the greedy selections used to meet that NaN and
+    # raise a bare ValueError.
+    A = gen_gaussian(20, 3, seed=1) * 1e100
+    x_star = np.full(3, 1e160)
+    matrix = A if storage == "dense" else sparse.csc_array(A)
+    problem = LsqProblem(matrix=matrix, rhs=A @ x_star, known_solution=x_star)
+    selections = _count_calls(monkeypatch, {
+        Method.GGS: "ggs_select", Method.GGS_RANDOMIZED: "ggs_randomized_select",
+        Method.GRCD: "grcd_select", Method.RGS: "rgs_select"}[method])
+    with pytest.raises(NonFiniteValue) as raised:
+        solve(problem, SolverConfig(method=method))
+    if method is Method.RGS:
+        # rgs with a known solution and no trace computes no gradient.
+        assert str(raised.value) == "the relative solution error is nan at iteration 1"
+    else:
+        assert str(raised.value) == "A^T b has a NaN or infinite entry at iteration 0"
+        assert not selections
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method", list(Method))
 def test_huge_gradient_entries_still_converge(method):
     # Gradient entries near 1e301 overflow when squared; grcd used to run
@@ -1300,3 +1324,117 @@ def test_gradient_stop_raises_when_its_threshold_underflows(method, c):
         return
     with pytest.raises(NonFiniteValue, match=r"threshold tol \* \|\|A\^T b\|\|\^2 = .* underflows"):
         solve(problem, config)
+
+
+# ---------------------------------------------------------------------------
+# pinned greedy reports
+# ---------------------------------------------------------------------------
+
+def _pinned_greedy_grid():
+    """(key, problem, config) of each pinned solve: dense 60x8 and 300x20
+    and their CSC copies, each res-stop (consistent, known solution) and
+    gradient-stop (inconsistent, no known solution), under the three
+    greedy methods, traced and untraced.  At tol 1e-10 every one of these
+    solves computes its gradient fresh once on GRADIENT_FALL_REFRESH,
+    before any drift checkpoint."""
+    grid = []
+    for m, n, seed in ((60, 8, 61), (300, 20, 62)):
+        A = gen_gaussian(m, n, seed)
+        stops = {"res": make_consistent(A, seed + 1),
+                 "gradient": dataclasses.replace(make_inconsistent(A, seed + 1), known_solution=None)}
+        for storage, matrix in (("dense", A), ("csc", sparse.csc_array(A))):
+            for stop, problem in stops.items():
+                problem = dataclasses.replace(problem, matrix=matrix)
+                for method in ("ggs", "ggs-random", "grcd"):
+                    for traced in ("untraced", "traced"):
+                        config = SolverConfig(method=method, seed=3, res_tolerance=1e-10,
+                                              record_trace=traced == "traced")
+                        grid.append((f"{m}x{n} {storage} {stop} {method} {traced}", problem, config))
+    return grid
+
+
+def _report_digest(report):
+    """A SHA-256 prefix of every bit of a report but its time: the
+    solution, iterations, stop reason, final_res, max_drift_rel and each
+    trace record."""
+    digest = hashlib.sha256(report.solution.tobytes())
+    digest.update(repr((report.iterations, report.stop_reason.value, report.final_res.hex(),
+                        report.max_drift_rel.hex())).encode())
+    for record in report.trace or ():
+        digest.update(repr(dataclasses.astuple(record)).encode())
+    return digest.hexdigest()[:16]
+
+
+# Recorded before the greedy steps read max|s| through argmax.
+GREEDY_REPORT_PINS = {
+    "60x8 dense res ggs untraced": "15ec79553759771e",
+    "60x8 dense res ggs traced": "ad1eead826f699fa",
+    "60x8 dense res ggs-random untraced": "15ec79553759771e",
+    "60x8 dense res ggs-random traced": "ad1eead826f699fa",
+    "60x8 dense res grcd untraced": "b04295cccf0fbf02",
+    "60x8 dense res grcd traced": "4fafb88a2675e087",
+    "60x8 dense gradient ggs untraced": "50fb001bc171111e",
+    "60x8 dense gradient ggs traced": "4c4eb02ee1d741dd",
+    "60x8 dense gradient ggs-random untraced": "50fb001bc171111e",
+    "60x8 dense gradient ggs-random traced": "4c4eb02ee1d741dd",
+    "60x8 dense gradient grcd untraced": "928383d5533240e3",
+    "60x8 dense gradient grcd traced": "37dd667f5c228875",
+    "60x8 csc res ggs untraced": "29d3c7005757d77c",
+    "60x8 csc res ggs traced": "921f3ae527a7e465",
+    "60x8 csc res ggs-random untraced": "29d3c7005757d77c",
+    "60x8 csc res ggs-random traced": "921f3ae527a7e465",
+    "60x8 csc res grcd untraced": "24e3bb6c62713ab0",
+    "60x8 csc res grcd traced": "e4d732490b1e9867",
+    "60x8 csc gradient ggs untraced": "1b34ed5187f0b999",
+    "60x8 csc gradient ggs traced": "6aaa7e99670ef1af",
+    "60x8 csc gradient ggs-random untraced": "1b34ed5187f0b999",
+    "60x8 csc gradient ggs-random traced": "6aaa7e99670ef1af",
+    "60x8 csc gradient grcd untraced": "ef4ef03cb427fc05",
+    "60x8 csc gradient grcd traced": "c4e7fcc17440767f",
+    "300x20 dense res ggs untraced": "01038f079f137de6",
+    "300x20 dense res ggs traced": "ca44722dacd4ffd1",
+    "300x20 dense res ggs-random untraced": "01038f079f137de6",
+    "300x20 dense res ggs-random traced": "ca44722dacd4ffd1",
+    "300x20 dense res grcd untraced": "3e472d08898b727c",
+    "300x20 dense res grcd traced": "2376ef2c317b1cbb",
+    "300x20 dense gradient ggs untraced": "7d301f5e91ff2d2e",
+    "300x20 dense gradient ggs traced": "cbf0938096a596cd",
+    "300x20 dense gradient ggs-random untraced": "7d301f5e91ff2d2e",
+    "300x20 dense gradient ggs-random traced": "cbf0938096a596cd",
+    "300x20 dense gradient grcd untraced": "d9ecdf2cdb4742c4",
+    "300x20 dense gradient grcd traced": "4699968bf13168d8",
+    "300x20 csc res ggs untraced": "8d6d2edbe7b6bfcf",
+    "300x20 csc res ggs traced": "a503286ccac935d5",
+    "300x20 csc res ggs-random untraced": "8d6d2edbe7b6bfcf",
+    "300x20 csc res ggs-random traced": "a503286ccac935d5",
+    "300x20 csc res grcd untraced": "e3d1132a62774f6a",
+    "300x20 csc res grcd traced": "87b472d47d047cb0",
+    "300x20 csc gradient ggs untraced": "e632d28db646d57c",
+    "300x20 csc gradient ggs traced": "721bde6f640d07bd",
+    "300x20 csc gradient ggs-random untraced": "e632d28db646d57c",
+    "300x20 csc gradient ggs-random traced": "721bde6f640d07bd",
+    "300x20 csc gradient grcd untraced": "623bfdc3d02ba0a6",
+    "300x20 csc gradient grcd traced": "5ae8755adb39e2c2",
+}
+
+
+def test_greedy_reports_equal_their_pins_in_either_order(monkeypatch):
+    # The second pass runs the grid backwards in the same process, so a
+    # solve that kept |s|, or any other state, from the solve before it
+    # would change a digest there.
+    grid = _pinned_greedy_grid()
+    gradients = _count_calls(monkeypatch, "transpose_matvec")
+    fresh = {}
+    for order in (grid, grid[::-1]):
+        digests = {}
+        for key, problem, config in order:
+            gradients.clear()
+            digests[key] = _report_digest(solve(problem, config))
+            fresh[key] = len(gradients)
+        assert digests == GREEDY_REPORT_PINS
+    # With the fall trigger off, every solve computes A^T r fresh once less.
+    monkeypatch.setattr(solvers, "GRADIENT_FALL_REFRESH", 0.0)
+    for key, problem, config in grid:
+        gradients.clear()
+        solve(problem, config)
+        assert len(gradients) == fresh[key] - 1, key
