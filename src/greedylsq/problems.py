@@ -1,8 +1,10 @@
 """Test-problem construction and file I/O.
 
 Random problems use numpy's PCG64 generator seeded explicitly, so every
-matrix, right-hand side and solver run regenerates bit-identically from
-its seed on any platform.  Sparse matrices come in through MatrixMarket
+generated matrix and random draw regenerates bit-identically from its
+seed on any platform.  A right-hand side A x_true and every solver run
+also go through BLAS products, so they repeat bit for bit only on one
+numpy/BLAS build and CPU.  Sparse matrices come in through MatrixMarket
 files; benchmark inputs are described by a small plain-text manifest.
 """
 import os

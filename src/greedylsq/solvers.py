@@ -18,8 +18,8 @@ column is selected:
 
 Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
 which zeroes the gradient entry of the chosen column.  The gradient
-s = A^T r, when a method, the trace or the stopping rule needs it, comes
-with the dense Gram matrix G = A^T A, built just before the first step or
+s = A^T r, when the method or the stopping rule needs it, comes with the
+dense Gram matrix G = A^T A, built just before the first step or
 passed in by the caller, and the loop then keeps x and s only:
 alpha = s[j] / ||A[:, j]||^2 and s -= alpha * G[j], O(n) per step with
 no pass over A.  s is recomputed fresh as A^T (b - A x) at every drift
@@ -30,14 +30,24 @@ before a stop on the gradient rule or at the iteration cap in
 gradient-stop mode, so no reported gradient stop rests on accumulated
 rounding.
 
-rgs with a known solution and no trace needs no gradient: it takes its
-first n steps (n columns) on the residual r, one column dot and one
-column axpy each, then builds G (or takes the one passed in) and takes
-every later step in the dot form
+rgs with a known solution needs no gradient: it takes its first n steps
+(n columns) on the residual r, one column dot and one column axpy each,
+then builds G (or takes the one passed in) and takes every later step in
+the dot form
 alpha = ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, O(n) with no kept state
 besides x.  A short solve thus never pays the O(m n^2) of G, and a long
 one pays it once, when the residual steps so far have cost about as much
 as G.
+
+Only the method, the stopping rule and whether G fits choose these step
+paths.  A trace only observes: it reads the squared gradient norm from
+the kept s, or, for rgs with a known solution, computes it as A^T r from
+the kept residual while no G is held and as A^T b - G x after, an O(mn)
+or O(n^2) product per traced step.  So a traced solve takes the steps of
+the untraced one and reports its solution, iterations, stop, final_res
+and drift in every bit.  A known solution of all zeros would select the
+gradient stopping rule, so a solve treats it as no known solution from
+the start, in its report and trace too.
 
 A caller that solves one problem several times, as bench does with each
 method of a trial, may build G once with gram_matrix(problem.matrix) and
@@ -175,7 +185,10 @@ class StepRecord:
     """State at iterate k plus the selection made there.
 
     The final record of a trace carries state only (the solver stopped
-    before selecting), so its selection fields are None.
+    before selecting), so its selection fields are None.  Recording
+    changes no step of the solve (module docstring): the squared gradient
+    norm comes from the loop's own state, and energy_error_sq and res are
+    None without a known solution, or with an all-zero one.
     """
 
     iteration: int
@@ -208,24 +221,33 @@ class SolveReport:
 def _greedy_candidates(s, col_norms_sq):
     """Stage 1 of both greedy rules: every column whose gradient magnitude
     is within TIE_TOLERANCE_REL (relative) of the maximum, which is read
-    at argmax, NaN first as max gives it.
+    at argmax.
 
     Returns:
         (candidate index array, max|s|).
 
     Raises:
         AllZeroGradient: if s is identically zero.
+        NonFiniteValue: if s has a NaN or infinite entry.
         ZeroColumn: if a candidate column has zero squared norm.
     """
     abs_s = np.abs(s)
     s_max = abs_s.item(abs_s.argmax())
-    if s_max == 0.0:
-        raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
+    if not 0.0 < s_max < math.inf:
+        _refuse_gradient(s_max)
     candidates = (abs_s >= (1.0 - TIE_TOLERANCE_REL) * s_max).nonzero()[0]
     if (col_norms_sq.item(candidates.item(0)) <= 0.0 if candidates.size == 1
             else (col_norms_sq[candidates] <= 0.0).any()):
         raise ZeroColumn("candidate column has zero norm")
     return candidates, s_max
+
+
+def _refuse_gradient(s_max):
+    """The error of a selection whose gradient has max|s| = s_max, which
+    is 0, NaN or infinite."""
+    if s_max == 0.0:
+        raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
+    raise NonFiniteValue(f"the gradient has a NaN or infinite entry (max|s| is {s_max})")
 
 
 def _candidate_ratios(s, col_norms_sq, candidates, s_max):
@@ -272,7 +294,8 @@ def _scaled_error_sq(x, x_star_unit, scale):
 def ggs_select(s, col_norms_sq):
     """Two-stage greedy selection: stage 2 picks the candidate maximizing
     s[j]^2 / ||A[:, j]||^2, lowest index on ties.  For float64 inputs each
-    output bit and exception is that of the plain numpy form of the rule.
+    output bit and exception is that of the plain numpy form of the rule,
+    except that a NaN or infinite gradient raises NonFiniteValue.
 
     Returns:
         (chosen index, candidate index array).
@@ -289,7 +312,8 @@ def ggs_randomized_select(s, col_norms_sq, rng):
     probability proportional to s[j]^2 / ||A[:, j]||^2.  Every call takes
     one uniform from rng, also when the set has a single member.  For
     float64 inputs each output bit and exception, and rng's state, is that
-    of the plain numpy form of the rule."""
+    of the plain numpy form of the rule, except that a NaN or infinite
+    gradient raises NonFiniteValue before any draw."""
     candidates, s_max = _greedy_candidates(s, col_norms_sq)
     if candidates.size == 1:
         rng.random()
@@ -320,13 +344,18 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
 
     Returns:
         (chosen index, member index array, threshold).
+
+    Raises:
+        AllZeroGradient: if s is identically zero.
+        NonFiniteValue: if s has a NaN or infinite entry; no draw is taken.
     """
     sq = np.abs(s)
-    sq = _unit_scaled(sq, sq.item(sq.argmax()))
+    s_max = sq.item(sq.argmax())
+    if not 0.0 < s_max < math.inf:
+        _refuse_gradient(s_max)
+    sq = _unit_scaled(sq, s_max)
     sq *= sq
     s_norm_sq = float(np.add.reduce(sq))
-    if s_norm_sq == 0.0:
-        raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
     # The where= divide and the live mask take about a third of a call
     # at n = 50-250, so only a matrix with a zero column runs them.
     if col_norms_sq.item(col_norms_sq.argmin()) > 0.0:
@@ -438,11 +467,13 @@ def solve(problem, config, gram=None):
     """Run the configured method on a least-squares problem.
 
     Starts from x = 0, so r = b.  Stops when the squared relative solution
-    error reaches ``res_tolerance`` (a known solution with a nonzero
-    entry), when the squared gradient norm falls to ``res_tolerance``
-    times its initial value (no known solution, or an all-zero one), or at
-    the iteration cap.  G = A^T A is built just before the first step that
-    uses it, or passed in as ``gram``.
+    error reaches ``res_tolerance`` (a known solution), when the squared
+    gradient norm falls to ``res_tolerance`` times its initial value (no
+    known solution; an all-zero one counts as none), or at the iteration
+    cap.  The method, this stopping rule and gram_fits alone choose the
+    steps, so ``record_trace`` changes no bit of the rest of the report.
+    G = A^T A is built just before the first step that uses it, or passed
+    in as ``gram``.
 
     Args:
         problem: an LsqProblem, whose construction checked its inputs.
@@ -463,7 +494,8 @@ def solve(problem, config, gram=None):
             ||A^T b||^2 is not finite, if the gradient
             rule's threshold res_tolerance * ||A^T b||^2 is below the
             normal float range though A^T b is nonzero, or if the stop
-            measure stops being finite during the run.
+            measure or the gradient a selection reads stops being finite
+            during the run.
         RankDeficient: with a known solution, in three cases where it is
             not the only least-squares solution and cannot be reached.
             Before the first step, if A has zero columns and the known
@@ -497,23 +529,24 @@ def solve(problem, config, gram=None):
         raise NonFiniteValue("the rhs has a NaN or infinite entry")
     if x_star is not None and not np.isfinite(x_star).all():
         raise NonFiniteValue("the known solution has a NaN or infinite entry")
+    # x* = 0 would select the gradient rule, so it is no known solution.
+    if x_star is not None and not x_star.any():
+        x_star = None
+    use_res_stop = x_star is not None
 
     x = np.zeros(n)
     r = b.copy()
 
-    # The scale of the module docstring, clamped to 2^1023 for a subnormal
-    # max|x*|; ||x*||^2 is then positive whenever x* has a nonzero entry.
-    scale = x_star_unit = None
-    x_star_unit_sq = 0.0
-    if x_star is not None:
-        scale = math.ldexp(1.0, min(-math.frexp(float(np.abs(x_star).max()))[1], 1023))
-        x_star_unit = x_star * scale
-        x_star_unit_sq = float(np.dot(x_star_unit, x_star_unit))
-    use_res_stop = x_star_unit_sq > 0.0
     # With a known solution and no trace, res is computed fresh only where a
     # stop may be near (module docstring); err is the running value between.
     estimate = use_res_stop and not record
+    scale = x_star_unit = None
     if use_res_stop:
+        # The scale of the module docstring, clamped to 2^1023 for a
+        # subnormal max|x*|, so that ||x*||^2 is positive.
+        scale = math.ldexp(1.0, min(-math.frexp(float(np.abs(x_star).max()))[1], 1023))
+        x_star_unit = x_star * scale
+        x_star_unit_sq = float(np.dot(x_star_unit, x_star_unit))
         unreachable = x_star_unit[col_norms == 0.0]
         res_floor = float(np.dot(unreachable, unreachable)) / x_star_unit_sq
         if res_floor > tol:
@@ -526,9 +559,9 @@ def solve(problem, config, gram=None):
                 f"at iteration 0 the matrix has {A.shape[0]} rows, fewer than its {n} columns, "
                 f"so its rank is below {n} and the known solution is not the only "
                 "least-squares solution")
-    # The gradient is needed for selection by every method except rgs,
-    # and for the trace and the gradient stopping rule regardless of method.
-    need_gradient = method is not Method.RGS or record or not use_res_stop
+    # The gradient is needed for selection by every method except rgs, and
+    # for the gradient stopping rule; a trace only reads its norm.
+    need_gradient = method is not Method.RGS or not use_res_stop
     need_grad_sq = record or not use_res_stop
 
     s = transpose_matvec(A, r) if need_gradient else None
@@ -546,10 +579,10 @@ def solve(problem, config, gram=None):
                 f"the gradient rule's threshold tol * ||A^T b||^2 = {tol * grad0_sq:.3e} "
                 "underflows below the normal float range though A^T b is nonzero")
     # G is built, or the passed gram taken, just before step gram_step, if
-    # it fits.  Without the gradient (rgs with a known solution and no
-    # trace) the first n steps run on the residual, at two column passes
-    # each.  Building G takes roughly as long as n such steps, so a solve
-    # shorter than that never pays for G, and a longer one pays for it once.
+    # it fits.  Without the gradient (rgs with a known solution) the first
+    # n steps run on the residual, at two column passes each.  Building G
+    # takes roughly as long as n such steps, so a solve shorter than that
+    # never pays for G, and a longer one pays for it once.
     G = None
     gram_step = None
     if gram_fits(A):
@@ -573,18 +606,21 @@ def solve(problem, config, gram=None):
 
         The stop measure is res when the true solution is known, else the
         gradient ratio ||A^T r||^2 / ||A^T b||^2.  res is fresh, through
-        _scaled_error_sq, and is ||x||^2 when x* = 0; it restarts err and
-        the window (lo, hi) that err must stay in to skip the next measure.
+        _scaled_error_sq; it restarts err and the window (lo, hi) that err
+        must stay in to skip the next measure.  Without a kept s (rgs with
+        a known solution) a trace's gradient is A^T r from the kept r, or
+        A^T b - G x once G is held.
         """
         nonlocal err, lo, hi
-        grad_sq = float(np.dot(s, s)) if need_grad_sq else None
-        res = None
-        if x_star is not None:
+        grad_sq = res = None
+        if need_grad_sq:
+            g = s if need_gradient else transpose_matvec(A, r) if G is None else atb - G @ x
+            grad_sq = float(np.dot(g, g))
+        if use_res_stop:
             err = _scaled_error_sq(x, x_star_unit, scale)
-            res = err / x_star_unit_sq if use_res_stop else err
+            res = err / x_star_unit_sq
             lo = max(RES_STOP_MARGIN * tol * x_star_unit_sq, RES_FALL_REFRESH * err)
             hi = min(err / RES_FALL_REFRESH, 2.0**1000)
-        if use_res_stop:
             value, reached = res, res <= tol
         else:
             value = grad_sq / grad0_sq if grad0_sq > 0.0 else 0.0

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from conftest import data_path
 
-from greedylsq import bench, solvers
+from greedylsq import bench, cli, solvers
 from greedylsq.bench import (
     ExperimentResult,
     ExperimentSpec,
@@ -249,3 +249,16 @@ def test_curve_energy_is_monotone_on_consistent_run(tmp_path):
     rows = list(csv.reader(io.StringIO(path.read_text())))
     res = [float(r[2]) for r in rows[1:]]
     assert res[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+def test_the_rgs_curve_ends_at_the_final_res_of_the_table(tmp_path, consistent):
+    # bench's curve is a traced solve of trial 0, its table row the
+    # untraced one: the two must be the same solve.
+    for seed in range(1, 4):
+        entry = random_entry(label=f"r{seed}", m=300, n=20, consistent=consistent)
+        spec = ExperimentSpec(problem=entry, methods=[Method.RGS], repeats=1, base_seed=seed)
+        trial = run_experiment(spec).trials[0]
+        cli._write_curve(entry, spec, str(tmp_path))
+        last = list(csv.reader(io.StringIO((tmp_path / f"curve_r{seed}.csv").read_text())))[-1]
+        assert (int(last[0]), float(last[2])) == (trial.iterations, trial.final_res)

@@ -20,7 +20,7 @@ from scipy import sparse
 from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_grcd_select, ref_rgs_select
 
 from greedylsq import solvers
-from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, RankDeficient
+from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, NonFiniteValue, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
 from greedylsq.problems import LsqProblem, load_matrix_market
 from greedylsq.solvers import (
@@ -311,6 +311,15 @@ def ggs_inputs(draw, kind, exponent):
 def test_greedy_selections_equal_their_earlier_code_bit_for_bit(kind, exponent, data, seed):
     s, norms = data.draw(ggs_inputs(kind, exponent))
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if kind == "nan":
+        # Where the earlier code raised numpy's ValueError or IndexError,
+        # both selections name the gradient, before any draw.
+        with pytest.raises(NonFiniteValue, match="gradient has a NaN"):
+            ggs_select(s, norms)
+        with pytest.raises(NonFiniteValue, match="gradient has a NaN"):
+            ggs_randomized_select(s, norms, rng)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        return
     try:
         expected = ref_ggs_select(s, norms, TIE_TOLERANCE_REL)
     except Exception as exc:

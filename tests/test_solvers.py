@@ -240,6 +240,19 @@ def test_greedy_selections_raise_like_the_reference(s, norms, exc):
             select()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_greedy_selection_names_a_non_finite_gradient_before_any_draw(bad):
+    s, norms = np.array([1.0, bad, 2.0]), np.ones(3)
+    for select in (lambda rng: ggs_select(s, norms),
+                   lambda rng: ggs_randomized_select(s, norms, rng),
+                   lambda rng: grcd_select(s, norms, 3.0, rng)):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NonFiniteValue, match="the gradient has a NaN or infinite entry"):
+            select(rng)
+        assert rng.bit_generator.state == state
+
+
 def test_rgs_select_draws_match_the_per_step_table():
     norms = np.random.default_rng(8).random(37) + 0.01
     norms[[3, 20]] = 0.0
@@ -818,8 +831,9 @@ def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, method):
 @pytest.mark.parametrize("known", [True, False])
 @pytest.mark.parametrize("method", list(Method))
 def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, storage):
-    # Untraced rgs with a known solution takes its first n steps on the
-    # residual, so here the known solution comes with a trace.
+    # rgs with a known solution takes its first n steps on the residual,
+    # traced or not (here the known solution comes with a trace), and the
+    # rest on G.
     problem = _dense_or_sparse_problem(storage)
     if not known:
         problem = LsqProblem(matrix=problem.matrix, rhs=problem.rhs)
@@ -827,8 +841,10 @@ def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, s
     calls = {name: _count_calls(monkeypatch, name) for name in names}
     report = solve(problem, SolverConfig(method=method, seed=1, record_trace=known))
     assert report.iterations > 50
+    residual_steps = problem.matrix.shape[1] if method is Method.RGS and known else 0
     assert {name: len(c) for name, c in calls.items()} == \
-           {"gram_matrix": 1, "step": 0, "column_dot": 0, "axpy_column": 0}
+           {"gram_matrix": 1, "step": residual_steps, "column_dot": residual_steps,
+            "axpy_column": residual_steps}
 
 
 def _fresh_gradient_norm_sq(problem, x):
@@ -894,10 +910,9 @@ def test_a_passed_gram_matrix_changes_no_bit_of_the_report(monkeypatch, method, 
     passed = solve(problem, config, gram=gram)
     assert _full_report(passed) == _full_report(built)
     assert len(grams) == 0 and np.array_equal(gram, untouched)
-    # Untraced rgs with a known solution still takes its first n steps on
-    # the residual, then takes up the passed G; the rest step on G alone.
-    assert len(steps) == built_steps == (n if method is Method.RGS and stop == "res" and not traced
-                                         else 0)
+    # rgs with a known solution still takes its first n steps on the
+    # residual, then takes up the passed G; the rest step on G alone.
+    assert len(steps) == built_steps == (n if method is Method.RGS and stop == "res" else 0)
     assert passed.iterations > n
 
 
@@ -927,6 +942,95 @@ def test_a_passed_gram_matrix_over_the_budget_is_ignored(monkeypatch, method):
     # The residual loop throughout, as without a gram.
     assert len(steps) == passed.iterations > 0
     assert _full_report(passed) == _full_report(solve(problem, config))
+
+
+# ---------------------------------------------------------------------------
+# a trace only observes
+# ---------------------------------------------------------------------------
+
+def _untraced_fields(report):
+    """Every field of a report that a trace must leave alone, floats as bits."""
+    return (report.solution.tobytes(), report.iterations, report.stop_reason,
+            report.final_res.hex(), report.max_drift_rel.hex())
+
+
+@pytest.mark.parametrize("stop", ["consistent", "inconsistent", "gradient-stop"])
+@pytest.mark.parametrize("storage, gram", [("dense", "built"), ("dense", "passed"),
+                                           ("csc", "built"), ("csc", "passed"),
+                                           ("csc", "over-budget")])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_a_trace_changes_no_bit_of_the_rest_of_the_report(monkeypatch, method, storage, gram,
+                                                          stop):
+    # The 400x100 CSC matrix stores fewer bytes than its 100x100 G, so a
+    # zero budget puts it over; its dense copy always fits.
+    A = _sparse_problem().matrix
+    if storage == "dense":
+        A = A.toarray()
+    problem = (make_consistent(A, seed=73) if stop == "consistent"
+               else make_inconsistent(A, seed=73))
+    if stop == "gradient-stop":
+        problem = dataclasses.replace(problem, known_solution=None)
+    if gram == "over-budget":
+        monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+        assert not solvers.gram_fits(problem.matrix)
+    passed = gram_matrix(problem.matrix) if gram == "passed" else None
+    untraced, traced = (solve(problem, SolverConfig(method=method, seed=2, record_trace=record),
+                              gram=passed)
+                        for record in (False, True))
+    assert untraced.iterations > problem.matrix.shape[1]
+    assert _untraced_fields(traced) == _untraced_fields(untraced)
+    assert len(traced.trace) == traced.iterations + 1
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc", "csc-without-gram"])
+def test_a_traced_rgs_solve_records_the_gradient_of_each_iterate(monkeypatch, storage):
+    problem = _dense_or_sparse_problem(storage.removesuffix("-without-gram"))
+    if storage == "csc-without-gram":
+        monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    config = SolverConfig(method=Method.RGS, seed=1, max_iterations=300, res_tolerance=1e-300,
+                          record_trace=True)
+    report = solve(problem, config)
+    assert report.iterations == 300 > problem.matrix.shape[1]
+    x = np.zeros(problem.matrix.shape[1])
+    norms = column_norms_sq(problem.matrix)
+    for rec in report.trace:
+        assert rec.residual_gradient_norm_sq == pytest.approx(
+            _fresh_gradient_norm_sq(problem, x), rel=1e-9)
+        if rec.chosen_index is not None:
+            j = rec.chosen_index
+            x[j] += (problem.matrix.T @ (problem.rhs - problem.matrix @ x))[j] / norms[j]
+
+
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_an_all_zero_known_solution_is_no_known_solution(method, storage):
+    A = _sparse_problem().matrix
+    if storage == "dense":
+        A = A.toarray()
+    b = make_inconsistent(A, seed=74).rhs
+    for record in (False, True):
+        config = SolverConfig(method=method, seed=2, record_trace=record)
+        expected = _full_report(solve(LsqProblem(matrix=A, rhs=b), config))
+        for zero in (np.zeros(100), np.full(100, -0.0)):
+            report = solve(LsqProblem(matrix=A, rhs=b, known_solution=zero), config)
+            assert report.stop_reason is StopReason.GRADIENT_REACHED
+            assert _full_report(report) == expected
+            if record:
+                assert {(rec.res, rec.energy_error_sq) for rec in report.trace} == {(None, None)}
+
+
+@pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED, Method.GRCD],
+                         ids=lambda m: m.value)
+def test_a_nan_gradient_mid_run_raises_non_finite_value(method):
+    # A NaN in the passed G reaches s at the first step on its row; the
+    # untraced res stop does not look at s, so the selection meets it.
+    problem = _dense_or_sparse_problem("dense")
+    config = SolverConfig(method=method, seed=1)
+    first = solve(problem, dataclasses.replace(config, max_iterations=1, record_trace=True))
+    gram = gram_matrix(problem.matrix)
+    gram[first.trace[0].chosen_index, 5] = np.nan
+    with pytest.raises(NonFiniteValue, match=r"the gradient has a NaN or infinite entry"):
+        solve(problem, config, gram=gram)
 
 
 # ---------------------------------------------------------------------------
