@@ -46,11 +46,8 @@ def gram_matrix(A):
 
 
 def jacobi_eigenvalues(G):
-    """All eigenvalues of a symmetric matrix, in ascending order.
-
-    LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``) does the work.
-    The name is older than that: the routine was once a cyclic-Jacobi
-    iteration, and the benchmark traces this function by its name.
+    """All eigenvalues of a symmetric matrix, in ascending order, from
+    LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``).
 
     Raises:
         ValueError: if G is not a square matrix.

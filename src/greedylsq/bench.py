@@ -76,15 +76,13 @@ def build_trial_problem(entry, base_seed, trial, file_matrix=None):
 def run_experiment(spec):
     """Run every method of the spec over ``repeats`` trials and average.
 
-    Each trial builds one problem instance shared by all methods, and,
-    when it fits (solvers.gram_fits), one G = A^T A that every method's
-    solve is handed and that is dropped before the next trial.  The
+    Each trial builds one problem, and one G = A^T A when it fits
+    (solvers.gram_fits), shared by the solves of all its methods; the
     randomized methods are seeded with base seed + trial index.  Trials
-    that hit the iteration cap are excluded from the averages with a
-    warning.  Timing covers the solve, column norms included; problem
-    generation and the trial's shared G are not timed.  No untimed warmup
-    solve runs: the G build touches the fresh matrix first, and when no G
-    fits, the first method of a trial pays that first touch.
+    that hit the iteration cap are left out of the averages with a
+    warning.  Times cover each solve, not the problem or G.  No warmup
+    solve runs, so when no G fits, the first method of a trial pays the
+    first touch of the matrix.
     """
     entry = spec.problem
     file_matrix = load_matrix_market(entry.path) if entry.kind == "file" else None

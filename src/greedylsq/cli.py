@@ -80,12 +80,6 @@ def _add_stop_args(p):
     p.add_argument("--max-iters", type=_COUNT, default=SolverConfig.max_iterations)
 
 
-def _add_solver_args(p):
-    p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
-    _add_stop_args(p)
-    p.add_argument("--seed", type=_SEED, default=0)
-
-
 def _add_rhs_args(p, allow_file_rhs):
     group = p.add_mutually_exclusive_group()
     if allow_file_rhs:
@@ -104,7 +98,9 @@ def build_parser():
     p = sub.add_parser("solve", help="solve one least-squares problem")
     _add_matrix_args(p)
     _add_rhs_args(p, allow_file_rhs=True)
-    _add_solver_args(p)
+    p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
+    _add_stop_args(p)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--trace", metavar="PATH", help="write a per-iteration convergence CSV")
 
     p = sub.add_parser("bench", help="run a benchmark manifest")

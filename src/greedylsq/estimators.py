@@ -37,14 +37,6 @@ class BaseCoordinateDescent:
             setattr(self, name, value)
         return self
 
-    def _make_config(self):
-        return SolverConfig(
-            method=self._method,
-            max_iterations=self.max_iter,
-            res_tolerance=self.tol,
-            seed=getattr(self, "seed", 0),
-        )
-
     def fit(self, X, y, x_true=None):
         """Solve the least-squares problem defined by (X, y).
 
@@ -52,7 +44,9 @@ class BaseCoordinateDescent:
         relative error against it reaches ``tol``; otherwise stopping is
         on the relative squared gradient norm.
         """
-        report = solve(LsqProblem(matrix=X, rhs=y, known_solution=x_true), self._make_config())
+        problem = LsqProblem(matrix=X, rhs=y, known_solution=x_true)
+        report = solve(problem, SolverConfig(method=self._method, max_iterations=self.max_iter,
+                                             res_tolerance=self.tol, seed=getattr(self, "seed", 0)))
         self.coef_ = report.solution
         self.n_iter_ = report.iterations
         self.stop_reason_ = report.stop_reason
@@ -70,13 +64,22 @@ class BaseCoordinateDescent:
             X = np.asarray(X, dtype=np.float64)
             if X.ndim != 2:
                 raise ValueError(f"expected a 2-D matrix, got ndim={X.ndim}")
+        if X.shape[1] != self.coef_.shape[0]:
+            raise ValueError(f"X has {X.shape[1]} columns, but coef_ has length {self.coef_.shape[0]}")
         return matvec(X, self.coef_)
 
     def score(self, X, y):
-        """Coefficient of determination R^2 of the prediction."""
+        """Coefficient of determination R^2 of the prediction.
+
+        Raises:
+            ValueError: if y's length is not X's row count.
+        """
         self._check_fitted()
         y = as_vector(y, name="y")
-        resid = y - self.predict(X)
+        prediction = self.predict(X)
+        if y.shape[0] != prediction.shape[0]:
+            raise ValueError(f"y has length {y.shape[0]}, but X has {prediction.shape[0]} rows")
+        resid = y - prediction
         total = y - y.mean()
         denom = float(np.dot(total, total))
         if denom == 0.0:

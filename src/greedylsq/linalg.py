@@ -18,13 +18,9 @@ NORM_BLOCK_BYTES = 256 * 2**10
 def column_norms_sq(A):
     """Squared Euclidean norm of every column, as a length-n vector.
 
-    For dense input this equals (A * A).sum(axis=0) bit for bit: a
-    column-major float64 matrix is squared block by block into one small
-    buffer, and each column is still one contiguous pairwise sum.  For CSC
-    input each entry equals the sum of the column's squared stored values
-    taken as one slice, bit for bit: the columns with c stored entries are
-    gathered into one row-major block of c columns and summed along its
-    rows, which is the same pairwise sum.
+    Bit for bit (A * A).sum(axis=0) for dense input, and for CSC input the
+    sum of each column's squared stored values taken as one slice.  The
+    columns with c stored entries are summed as one gathered block.
     """
     if is_sparse(A):
         sq = A.data * A.data

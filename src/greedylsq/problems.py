@@ -1,11 +1,10 @@
-"""Test-problem construction and file I/O.
+"""Test-problem construction and file I/O: MatrixMarket matrices, vector
+files and benchmark manifests.
 
-Random problems use numpy's PCG64 generator seeded explicitly, so every
-generated matrix and random draw regenerates bit-identically from its
-seed on any platform.  A right-hand side A x_true and every solver run
-also go through BLAS products, so they repeat bit for bit only on one
-numpy/BLAS build and CPU.  Sparse matrices come in through MatrixMarket
-files; benchmark inputs are described by a small plain-text manifest.
+Random draws use numpy's PCG64 generator seeded explicitly, so they
+repeat bit for bit on any platform.  A right-hand side A x_true goes
+through BLAS, so it repeats bit for bit only on one numpy/BLAS build and
+CPU.
 """
 import os
 from dataclasses import dataclass, field
@@ -31,11 +30,10 @@ GAUSSIAN_BLOCK_ENTRIES = 2**16
 class LsqProblem:
     """A least-squares instance: matrix, rhs, and optional known solution.
 
-    The one owner of the instance's contract: any 2-D array-like or scipy
-    sparse matrix is stored as column-major float64 or canonical CSC, rhs
-    and the known solution as float64 vectors of matching length.  Frozen;
-    ``dataclasses.replace`` builds a changed problem and coerces again.
-    ``density`` is derived from the stored matrix, never passed in.
+    Any 2-D array-like or scipy sparse matrix is stored as column-major
+    float64 or canonical CSC, rhs and the known solution as float64
+    vectors of matching length.  Frozen; ``dataclasses.replace`` coerces
+    again.  ``density`` is derived from the stored matrix.
     """
 
     matrix: object
@@ -60,15 +58,9 @@ def matrix_density(A):
 
 
 def gen_gaussian(m, n, seed):
-    """Dense m x n matrix of i.i.d. standard normal entries.
-
-    Deterministic per seed: entries come from numpy's PCG64 stream via
-    its documented normal transform, in row-major order, as
-    rng.standard_normal((m, n)) gives them.  The column-major result is
-    filled GAUSSIAN_BLOCK_ENTRIES at a time from consecutive row blocks of
-    that stream, so the bits are the same without a transient row-major
-    copy of the whole matrix.
-    """
+    """Dense column-major m x n matrix of i.i.d. standard normal entries,
+    bit for bit np.random.default_rng(seed).standard_normal((m, n)), drawn
+    in row blocks so that no row-major copy of the whole matrix is made."""
     if m < 1 or n < 1 or m < n:
         raise ValueError(f"need m >= n >= 1, got {m} x {n}")
     rng = np.random.default_rng(seed)
@@ -88,11 +80,8 @@ def make_consistent(A, seed):
 
 
 def make_inconsistent(A, seed):
-    """Problem with rhs = A @ x_true + r0, r0 a nonzero vector with A^T r0 = 0.
-
-    r0 is the component of a random vector orthogonal to the column
-    space, obtained by one Gram-matrix projection; x_true stays the unique
-    least-squares solution.
+    """Problem with rhs = A @ x_true + r0, r0 a nonzero vector with A^T r0 = 0,
+    so x_true stays the unique least-squares solution.
 
     Raises:
         NullSpaceEmpty: if m <= n, checked first: a full-rank A then spans R^m.
@@ -112,8 +101,8 @@ def make_inconsistent(A, seed):
 
 
 def synthesize_problem(A, seed, consistent):
-    """The problem on A with a synthesized rhs, the one rule of bench and
-    the CLI: make_consistent, or make_inconsistent, on the rhs stream
+    """The problem on A with a synthesized rhs, as bench and the CLI build
+    it: make_consistent, or make_inconsistent, on the rhs stream
     seed + RHS_SEED_OFFSET, independent of a matrix drawn from ``seed``."""
     make = make_consistent if consistent else make_inconsistent
     return make(A, seed + RHS_SEED_OFFSET)
@@ -129,12 +118,10 @@ def _gram_factor(A):
 
 
 def reference_solution(problem):
-    """Solve the normal equations A^T A x = A^T b by Cholesky.
-
-    One refinement step is applied if the normal-equation residual
-    exceeds 1e-10 relative to ||A^T b||.  Raises RankDeficient if A fails
-    the one rank test (gram_extreme_eigenvalues): x is then not unique.
-    """
+    """Solve the normal equations A^T A x = A^T b by Cholesky, with one
+    refinement step if the normal-equation residual exceeds 1e-10 relative
+    to ||A^T b||.  Raises RankDeficient if A fails the rank test of
+    gram_extreme_eigenvalues."""
     A = problem.matrix
     rhs_n = transpose_matvec(A, problem.rhs)
     gram, lower = _gram_factor(A)
@@ -222,7 +209,7 @@ def load_matrix_market(path):
             rows, cols = rows[keep], cols[keep]
         (vals,) = _read_columns(entry_nos, lines, _ENTRY_FIELDS[2:], "value")
 
-    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, size_no)
+    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, entry_nos)
     try:
         return as_csc_matrix(sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc())
     except MemoryError:  # CSC storage holds n + 1 column pointers, whatever the entries
@@ -271,11 +258,9 @@ _ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
 def _read_columns(nos, lines, fields, noun):
     """Parse the numbered lines into one array per field.
 
-    numpy parses the whole body in one call.  If it refuses, one rescan
-    with ``int`` and ``float`` parses line by line: it accepts what they
-    accept (underscores between digits, which numpy rejects) and names the
-    first line they cannot read.  numpy accepts no token that ``int`` and
-    ``float`` reject, and rounds every value as ``float`` does.
+    Accepts what ``int`` and ``float`` accept, and names the first line
+    they cannot read.  numpy parses the whole body in one call; only if it
+    refuses (underscores between digits, say) is it rescanned line by line.
     """
     if nos:  # np.loadtxt warns on an empty body
         try:
@@ -298,12 +283,13 @@ def _read_columns(nos, lines, fields, noun):
     return columns
 
 
-def _expand_symmetry(rows, cols, vals, mm_symmetry, size_no):
+def _expand_symmetry(rows, cols, vals, mm_symmetry, nos):
+    """The full matrix's entries; nos numbers the lines of the stored ones."""
     if mm_symmetry == "general":
         return rows, cols, vals
     off = rows != cols
-    if mm_symmetry == "skew-symmetric" and np.any(vals[~off] != 0.0):
-        raise ParseError("skew-symmetric matrix has a nonzero diagonal entry", size_no)
+    if mm_symmetry == "skew-symmetric" and (diagonal := ~off & (vals != 0.0)).any():
+        raise ParseError("skew-symmetric matrix has a nonzero diagonal entry", nos[diagonal.argmax()])
     sign = -1.0 if mm_symmetry == "skew-symmetric" else 1.0
     return (
         np.concatenate([rows, cols[off]]),
@@ -377,44 +363,41 @@ def load_manifest(path):
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for no, ln in enumerate(fh, start=1):
-            text = ln.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) not in (3, 4):
-                raise ParseError("expected 'label matrix consistency [seed]'", no)
-            label, matrix_spec, consistency = parts[0], parts[1], parts[2]
-            if consistency not in ("consistent", "inconsistent"):
-                raise ParseError(f"consistency must be consistent|inconsistent, got {consistency!r}", no)
-            seed = None
-            if len(parts) == 4:
-                try:
-                    seed = int(parts[3])
-                except ValueError:
-                    raise ParseError(f"bad seed {parts[3]!r}", no) from None
-                if seed < 0:
-                    raise ParseError(f"seed {seed} must be >= 0", no)
-            entry = ManifestEntry(label=label, kind="", consistent=consistency == "consistent", seed=seed)
-            if matrix_spec.startswith("random:"):
-                dims = matrix_spec[len("random:"):].lower().split("x")
-                if len(dims) != 2:
-                    raise ParseError(f"bad random spec {matrix_spec!r}; want random:MxN", no)
-                try:
-                    entry.rows, entry.cols = int(dims[0]), int(dims[1])
-                except ValueError:
-                    raise ParseError(f"bad random spec {matrix_spec!r}", no) from None
-                if not entry.rows >= entry.cols >= 1:
-                    raise ParseError(f"random spec {matrix_spec!r} needs M >= N >= 1", no)
-                entry.kind = "random"
-            elif matrix_spec.startswith("file:"):
-                entry.kind = "file"
-                raw = matrix_spec[len("file:"):]
-                entry.path = raw if os.path.isabs(raw) else os.path.join(base, raw)
-            else:
-                raise ParseError(f"matrix spec {matrix_spec!r} must start with random: or file:", no)
-            entries.append(entry)
+    lines, nos = _numbered_lines(path, "#")
+    for no in nos:
+        parts = lines[no - 1].split("#", 1)[0].split()
+        if len(parts) not in (3, 4):
+            raise ParseError("expected 'label matrix consistency [seed]'", no)
+        label, matrix_spec, consistency = parts[0], parts[1], parts[2]
+        if consistency not in ("consistent", "inconsistent"):
+            raise ParseError(f"consistency must be consistent|inconsistent, got {consistency!r}", no)
+        seed = None
+        if len(parts) == 4:
+            try:
+                seed = int(parts[3])
+            except ValueError:
+                raise ParseError(f"bad seed {parts[3]!r}", no) from None
+            if seed < 0:
+                raise ParseError(f"seed {seed} must be >= 0", no)
+        entry = ManifestEntry(label=label, kind="", consistent=consistency == "consistent", seed=seed)
+        if matrix_spec.startswith("random:"):
+            dims = matrix_spec[len("random:"):].lower().split("x")
+            if len(dims) != 2:
+                raise ParseError(f"bad random spec {matrix_spec!r}; want random:MxN", no)
+            try:
+                entry.rows, entry.cols = int(dims[0]), int(dims[1])
+            except ValueError:
+                raise ParseError(f"bad random spec {matrix_spec!r}", no) from None
+            if not entry.rows >= entry.cols >= 1:
+                raise ParseError(f"random spec {matrix_spec!r} needs M >= N >= 1", no)
+            entry.kind = "random"
+        elif matrix_spec.startswith("file:"):
+            entry.kind = "file"
+            raw = matrix_spec[len("file:"):]
+            entry.path = raw if os.path.isabs(raw) else os.path.join(base, raw)
+        else:
+            raise ParseError(f"matrix spec {matrix_spec!r} must start with random: or file:", no)
+        entries.append(entry)
     if not entries:
         raise ParseError("manifest lists no experiments", 1)
     return entries

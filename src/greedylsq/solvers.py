@@ -1,77 +1,25 @@
 """Coordinate-descent solvers for linear least squares.
 
-Four methods share one iteration loop and differ only in how the working
-column is selected:
+Four methods share one loop and differ only in how the working column j
+is chosen (ggs_select, ggs_randomized_select, grcd_select, rgs_select).
+Each step moves x[j] by alpha = (A[:, j] . r) / ||A[:, j]||^2, which
+zeroes the gradient entry of column j.
 
-* ``ggs``: pick the columns whose residual-gradient entry has the largest
-  magnitude, then among those take the one with the largest squared entry
-  per unit of squared column norm.  Fully deterministic.
-* ``ggs-random``: same candidate set, but the winner is sampled with
-  probability proportional to that ratio.
-* ``grcd``: an adaptive threshold keeps every column whose normalized
-  gradient entry is at least halfway between the norm-weighted mean and
-  the maximum; the working column is sampled proportionally to its
-  squared entry.
-* ``rgs``: sample columns with probability proportional to squared column
-  norm, independent of the residual, RGS_BLOCK at a time from the solve's
-  own stream, so its selections equal those of one draw per step.
-
-Each step moves a single coordinate by alpha = (A[:, j] . r) / ||A[:, j]||^2,
-which zeroes the gradient entry of the chosen column.  The gradient
-s = A^T r, when the method or the stopping rule needs it, comes with the
-dense Gram matrix G = A^T A, built just before the first step or
-passed in by the caller, and the loop then keeps x and s only:
-alpha = s[j] / ||A[:, j]||^2 and s -= alpha * G[j], O(n) per step with
-no pass over A.  s is recomputed fresh as A^T (b - A x) at every drift
-checkpoint, whenever its largest entry has fallen by
-GRADIENT_FALL_REFRESH since its last fresh value, at every step once that
-entry is below GRADIENT_ROUNDING_LEVEL times its initial value, and
-before a stop on the gradient rule or at the iteration cap in
-gradient-stop mode, so no reported gradient stop rests on accumulated
-rounding.
-
-rgs with a known solution needs no gradient: it takes its first n steps
-(n columns) on the residual r, one column dot and one column axpy each,
-then builds G (or takes the one passed in) and takes every later step in
-the dot form
-alpha = ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, O(n) with no kept state
-besides x.  A short solve thus never pays the O(m n^2) of G, and a long
-one pays it once, when the residual steps so far have cost about as much
-as G.
-
-Only the method, the stopping rule and whether G fits choose these step
-paths.  A trace only observes: it reads the squared gradient norm from
-the kept s, or, for rgs with a known solution, computes it as A^T r from
-the kept residual while no G is held and as A^T b - G x after, an O(mn)
-or O(n^2) product per traced step.  So a traced solve takes the steps of
-the untraced one and reports its solution, iterations, stop, final_res
-and drift in every bit.  A known solution of all zeros would select the
-gradient stopping rule, so a solve treats it as no known solution from
-the start, in its report and trace too.
-
-A caller that solves one problem several times, as bench does with each
-method of a trial, may build G once with gram_matrix(problem.matrix) and
-pass it to every solve.  solve uses a passed G exactly where it would
-build its own, so no report changes in any bit, and it keeps no G across
-calls.
-
-G takes n*n*8 bytes; when that exceeds both the matrix's own stored
-bytes and GRAM_BUDGET_BYTES (gram_fits), no G is built, a passed one is
-ignored, and the loop keeps x and r throughout, with A^T r recomputed
-after every step if the gradient is needed.
-
-res = ||x - x*||^2 / ||x*||^2 is computed with x* and every x - x* taken
-times the power of two that brings max|x*| into [0.5, 1), an exact
-scaling, so ||x*||^2 neither underflows to 0 nor overflows.  With a known
-solution and no trace, the res stop rule costs O(1) per step: the loop
-keeps err, a running value of the scaled ||x - x*||^2 that each step
-updates by the change in its one moved entry's term, and computes it
-fresh through _scaled_error_sq only where a stop may be near or err may
-have drifted: when err is within RES_STOP_MARGIN of the stop threshold,
-has fallen or risen by RES_FALL_REFRESH since its last fresh value or is
-not finite, at every drift checkpoint, at the iteration cap and before a
-RankDeficient message.  Every stop, final_res and error thus rests on
-the same fresh value as a check at every step.
+Only the method, the stopping rule and gram_fits choose a solve's step
+path; a trace only observes.
+* Every method but rgs, and the gradient stopping rule, need the
+  gradient s = A^T r.  The loop then keeps x and s and steps on the
+  dense Gram matrix G = A^T A, s -= alpha * G[j], O(n) per step.  s is
+  computed fresh at every drift checkpoint, when max|s| falls
+  (GRADIENT_FALL_REFRESH, GRADIENT_ROUNDING_LEVEL), and before a
+  gradient stop, so no stop rests on accumulated rounding.
+* rgs with a known solution takes its first n steps on the residual r,
+  then builds G and steps in the dot form
+  x[j] += ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, keeping x only.
+* When G does not fit, the loop keeps x and r and recomputes A^T r
+  after every step that needs it.
+Without a trace, the res stop rule tests a running ||x - x*||^2 and
+computes it fresh only near the threshold (_scaled_error_sq).
 """
 import math
 import sys
@@ -132,10 +80,6 @@ class Method(Enum):
     GRCD = "grcd"
     RGS = "rgs"
 
-    @property
-    def randomized(self):
-        return self in (Method.GGS_RANDOMIZED, Method.GRCD, Method.RGS)
-
 
 class StopReason(Enum):
     RES_REACHED = "res_reached"
@@ -145,15 +89,12 @@ class StopReason(Enum):
 
 @dataclass
 class SolverConfig:
-    """Knobs for a single solve.
-
-    Every solve starts from x = 0, and greedy ties are judged with the
-    constant TIE_TOLERANCE_REL.  The defaults of max_iterations and
-    res_tolerance are also those of bench, the estimators and the CLI,
-    which read them from here.
+    """Knobs for a single solve, which starts from x = 0.  The defaults of
+    max_iterations and res_tolerance are also those of bench, the
+    estimators and the CLI, which read them from here.
 
     Args:
-        method: which selection rule to run.
+        method: a Method or its value.
         max_iterations: hard cap on coordinate steps.
         res_tolerance: stop once the squared relative solution error
             ||x - x_true||^2 / ||x_true||^2 drops to this value (when the
@@ -170,8 +111,7 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if isinstance(self.method, str):
-            self.method = Method(self.method)
+        self.method = Method(self.method)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.res_tolerance < np.inf:
@@ -184,11 +124,9 @@ class SolverConfig:
 class StepRecord:
     """State at iterate k plus the selection made there.
 
-    The final record of a trace carries state only (the solver stopped
-    before selecting), so its selection fields are None.  Recording
-    changes no step of the solve (module docstring): the squared gradient
-    norm comes from the loop's own state, and energy_error_sq and res are
-    None without a known solution, or with an all-zero one.
+    The final record of a trace carries state only, so its selection
+    fields are None.  energy_error_sq and res are None without a known
+    solution, or with an all-zero one.
     """
 
     iteration: int
@@ -211,17 +149,15 @@ class SolveReport:
     # else the gradient ratio), always computed fresh, never a running value.
     final_res: float
     trace: list[StepRecord] | None = None
-    # Largest drift of the kept state seen at the checkpoints and at exit:
+    # Largest drift of the kept state at the checkpoints and at exit:
     # ||s - (A^T b - G x)|| / ||A^T b|| when s was kept, else
-    # ||r - (b - A x)|| / ||b||, where rgs's dot form keeps no state and
-    # adds r's drift at the step that built G.
+    # ||r - (b - A x)|| / ||b|| (rgs's dot form keeps neither).
     max_drift_rel: float = 0.0
 
 
 def _greedy_candidates(s, col_norms_sq):
     """Stage 1 of both greedy rules: every column whose gradient magnitude
-    is within TIE_TOLERANCE_REL (relative) of the maximum, which is read
-    at argmax.
+    is within TIE_TOLERANCE_REL (relative) of the maximum.
 
     Returns:
         (candidate index array, max|s|).
@@ -243,8 +179,7 @@ def _greedy_candidates(s, col_norms_sq):
 
 
 def _refuse_gradient(s_max):
-    """The error of a selection whose gradient has max|s| = s_max, which
-    is 0, NaN or infinite."""
+    """Raise the error of a gradient whose max|s| is 0, NaN or infinite."""
     if s_max == 0.0:
         raise AllZeroGradient("gradient is zero; the normal equation is satisfied")
     raise NonFiniteValue(f"the gradient has a NaN or infinite entry (max|s| is {s_max})")
@@ -258,20 +193,16 @@ def _candidate_ratios(s, col_norms_sq, candidates, s_max):
 
 def _unit_scaled(s, s_max):
     """s times the power of two that brings s_max = max|s| into [0.5, 1).
-
-    The scaling is exact, so squares of s can neither overflow nor
-    underflow to zero, and every ratio or comparison of squares, and any
-    draw weighted by them, is the same as without it.
-    """
+    The scaling is exact, so squares of s neither overflow nor underflow
+    to zero, and ratios and comparisons of them are unchanged."""
     return np.ldexp(s, -math.frexp(s_max)[1])
 
 
 def _scaled_error_sq(x, x_star_unit, scale):
     """||x - x*||^2 times scale^2, as ||x * scale - x_star_unit||^2, where
     scale is a power of two and x_star_unit = x* * scale, so res is this
-    over ||x_star_unit||^2.  The scaling is exact for normal-range values,
-    so res has the same bits as ||x - x*||^2 / ||x*||^2 whenever that
-    neither underflows nor overflows.
+    over ||x_star_unit||^2, with the bits of ||x - x*||^2 / ||x*||^2
+    whenever that neither underflows nor overflows.
 
     Between fresh values the res stop rule tests a running value err,
     which each step updates by its moved entry's term d_j^2, d_j the same
@@ -327,20 +258,11 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
 
     The threshold is the average of the largest normalized gradient ratio
     (relative to ||s||^2) and 1 / ||A||_F^2; every column whose squared
-    gradient entry clears threshold * ||s||^2 * ||A[:, j]||^2 is kept, and
-    the working column is sampled with probability proportional to its
-    squared gradient entry.  All of these are invariant to the scale of s,
-    so they are computed from |s| scaled to a largest magnitude near 1.
-    A zero column has ratio 0 and is never a member; only a matrix with a
-    zero column pays for that masked divide.
-
-    For float64 s and col_norms_sq, as solve passes them, the rule and
-    every output bit, rng's state included, are those of the plain numpy
-    form of these formulas: the largest |s| and the smallest column norm
-    are read at argmax and argmin (NaN first, as max and min give it),
-    ||s||^2 and the draw's table are the same pairwise sum and running
-    sum as ndarray.sum and np.cumsum, and the threshold is taken on Python
-    floats, the same IEEE doubles as numpy scalars.
+    gradient entry clears threshold * ||s||^2 * ||A[:, j]||^2 is kept, a
+    zero column never, and the working column is sampled with probability
+    proportional to its squared gradient entry.  For float64 s and
+    col_norms_sq every output bit, rng's state included, is that of the
+    plain numpy form of these formulas on |s| scaled by _unit_scaled.
 
     Returns:
         (chosen index, member index array, threshold).
@@ -356,8 +278,6 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
     sq = _unit_scaled(sq, s_max)
     sq *= sq
     s_norm_sq = float(np.add.reduce(sq))
-    # The where= divide and the live mask take about a third of a call
-    # at n = 50-250, so only a matrix with a zero column runs them.
     if col_norms_sq.item(col_norms_sq.argmin()) > 0.0:
         ratios = sq / col_norms_sq
         live = None
@@ -379,9 +299,8 @@ def grcd_select(s, col_norms_sq, frob_sq, rng):
 
 def rgs_select(cum_norms_sq, rng, size):
     """Sample ``size`` columns, each with probability ||A[:, j]||^2 / ||A||_F^2,
-    from the cumulative table np.cumsum(column_norms_sq(A)).  rng.random(size)
-    gives the uniforms of ``size`` rng.random() calls bit for bit, so the
-    indices and rng's final state equal those of ``size`` single draws."""
+    from the cumulative table np.cumsum(column_norms_sq(A)).  The indices
+    and rng's final state equal those of ``size`` single draws."""
     u = rng.random(size) * cum_norms_sq[-1]
     return np.minimum(np.searchsorted(cum_norms_sq, u, side="right"), len(cum_norms_sq) - 1).tolist()
 
@@ -400,10 +319,8 @@ def _sample_inverse_cdf(cum, rng):
 
 
 def step(x, r, A, j, col_norm_sq_j):
-    """One coordinate update on column j, mutating x and r in place.
-
-    alpha is computed from the residual before mutation; afterwards the
-    new residual is orthogonal to the chosen column.
+    """One coordinate update on column j, mutating x and r in place, after
+    which r is orthogonal to column j.
 
     Returns:
         alpha, the change made to x[j].
@@ -418,10 +335,9 @@ def step(x, r, A, j, col_norm_sq_j):
 
 # The selection rule of each method, called as rule(s, col_norms_sq,
 # picks, frob_sq, rng) and returning (chosen index, member index array,
-# grcd threshold or None); picks, the solve's _rgs_picks stream, is built
-# for rgs only.  Each entry looks its select function up by module
-# attribute at call time, so a wrapper installed there (perfbench's
-# tracer) sees every call.
+# grcd threshold or None); picks is the rgs stream, None for the others.
+# Each entry looks its select function up by module attribute at call
+# time, so a wrapper installed there sees every call.
 _SELECT = {
     Method.GGS: lambda s, norms, picks, frob_sq, rng: (*ggs_select(s, norms), None),
     Method.GGS_RANDOMIZED: lambda s, norms, picks, frob_sq, rng: (*ggs_randomized_select(s, norms, rng), None),
@@ -430,32 +346,20 @@ _SELECT = {
 }
 
 
-def _stored_bytes(A):
-    """Bytes holding the entries (and, for CSC, the index arrays) of A."""
-    if is_sparse(A):
-        return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-    return A.nbytes
-
-
 def gram_fits(A):
     """Whether a solve on A keeps a dense G = A^T A: its n*n*8 bytes fit
-    in the matrix's own stored bytes or in GRAM_BUDGET_BYTES, read at
-    call time."""
-    n = A.shape[1]
-    return n * n * 8 <= max(_stored_bytes(A), GRAM_BUDGET_BYTES)
+    in the bytes that store A (with CSC's index arrays) or in
+    GRAM_BUDGET_BYTES, read at call time."""
+    stored = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes if is_sparse(A) else A.nbytes
+    return A.shape[1] ** 2 * 8 <= max(stored, GRAM_BUDGET_BYTES)
 
 
 def _relative_drift(diff, ref):
-    """||diff|| / ||ref||, the drift of kept state judged relative to its
-    value at x = 0 (b for r, A^T b for s): on consistent problems the
-    current state shrinks to rounding level, so normalizing by it would be
-    meaningless.
-
-    Both norms are taken on the vectors times the power of two that
-    brings max|ref| into [0.5, 1) (_unit_scaled), which changes no bit of
-    the ratio but keeps either norm from overflowing near the top of the
-    float range.
-    """
+    """||diff|| / ||ref||, ref being the kept state's value at x = 0 (b for
+    r, A^T b for s): on consistent problems the current state shrinks to
+    rounding level, so it cannot be the reference.  Both norms are taken
+    at _unit_scaled's scale of ref, so neither overflows; ||diff|| alone
+    when ref is zero."""
     ref_max = np.abs(ref).max()
     if ref_max == 0.0:
         return float(np.linalg.norm(diff))
@@ -464,16 +368,13 @@ def _relative_drift(diff, ref):
 
 
 def solve(problem, config, gram=None):
-    """Run the configured method on a least-squares problem.
+    """Run the configured method on a least-squares problem from x = 0.
 
-    Starts from x = 0, so r = b.  Stops when the squared relative solution
-    error reaches ``res_tolerance`` (a known solution), when the squared
-    gradient norm falls to ``res_tolerance`` times its initial value (no
-    known solution; an all-zero one counts as none), or at the iteration
-    cap.  The method, this stopping rule and gram_fits alone choose the
-    steps, so ``record_trace`` changes no bit of the rest of the report.
-    G = A^T A is built just before the first step that uses it, or passed
-    in as ``gram``.
+    Stops when the squared relative solution error reaches
+    ``res_tolerance`` (a known solution), when the squared gradient norm
+    falls to ``res_tolerance`` times its initial value (no known solution;
+    an all-zero one counts as none), or at the iteration cap.
+    ``record_trace`` changes no bit of the rest of the report.
 
     Args:
         problem: an LsqProblem, whose construction checked its inputs.
@@ -491,19 +392,16 @@ def solve(problem, config, gram=None):
         ValueError: if gram is neither None nor an (n, n) float64 ndarray.
         NonFiniteValue: if A (through its squared column norms), b, the
             known solution, A^T b (when the solve needs the gradient) or
-            ||A^T b||^2 is not finite, if the gradient
-            rule's threshold res_tolerance * ||A^T b||^2 is below the
-            normal float range though A^T b is nonzero, or if the stop
-            measure or the gradient a selection reads stops being finite
-            during the run.
-        RankDeficient: with a known solution, in three cases where it is
-            not the only least-squares solution and cannot be reached.
-            Before the first step, if A has zero columns and the known
-            solution's share on them, ||x*[zero]||^2 / ||x*||^2, is above
-            ``res_tolerance``: no method ever moves x off 0 there, so res
-            cannot fall below that share; else if A has fewer rows than
-            columns.  During the run, if the gradient A^T r becomes
-            exactly zero while res is above the tolerance.
+            ||A^T b||^2 is not finite, if the gradient rule's threshold
+            res_tolerance * ||A^T b||^2 is below the normal float range
+            though A^T b is nonzero, or if the stop measure or the
+            gradient a selection reads stops being finite during the run.
+        RankDeficient: with a known solution that is not the only
+            least-squares solution.  Before the first step, if the known
+            solution's share on zero columns, ||x*[zero]||^2 / ||x*||^2,
+            is above ``res_tolerance`` (no step moves x there), else if A
+            has fewer rows than columns.  During the run, if the gradient
+            becomes exactly zero while res is above the tolerance.
     """
     A, b, x_star = problem.matrix, problem.rhs, problem.known_solution
     n = A.shape[1]
@@ -513,7 +411,7 @@ def solve(problem, config, gram=None):
 
     method = config.method
     select = _SELECT[method]
-    rng = np.random.default_rng(config.seed) if method.randomized else None
+    rng = np.random.default_rng(config.seed) if method is not Method.GGS else None
     record = config.record_trace
     tol = config.res_tolerance
 
@@ -538,12 +436,12 @@ def solve(problem, config, gram=None):
     r = b.copy()
 
     # With a known solution and no trace, res is computed fresh only where a
-    # stop may be near (module docstring); err is the running value between.
+    # stop may be near; err is the running value between.
     estimate = use_res_stop and not record
     scale = x_star_unit = None
     if use_res_stop:
-        # The scale of the module docstring, clamped to 2^1023 for a
-        # subnormal max|x*|, so that ||x*||^2 is positive.
+        # The power of two that brings max|x*| into [0.5, 1), clamped to
+        # 2^1023 for a subnormal max|x*|, so that ||x*||^2 is positive.
         scale = math.ldexp(1.0, min(-math.frexp(float(np.abs(x_star).max()))[1], 1023))
         x_star_unit = x_star * scale
         x_star_unit_sq = float(np.dot(x_star_unit, x_star_unit))
@@ -590,45 +488,13 @@ def solve(problem, config, gram=None):
 
     def drift():
         """Relative drift of the kept state from its value rebuilt from x:
-        of s when G is held, at O(n^2) with no pass over A, else of r,
-        which then takes the rebuilt value.  The dot form keeps no state,
-        so it has none."""
+        of s when G is held, else of r, which then takes the rebuilt value."""
         if G is None:
             fresh = b - matvec(A, x)
             diff = r - fresh
             r[:] = fresh
             return _relative_drift(diff, b)
         return _relative_drift(s - (atb - G @ x), atb) if need_gradient else 0.0
-
-    def measure(x, s, k):
-        """State of iterate k: (squared gradient norm, res, stop measure,
-        whether the measure reached the tolerance).
-
-        The stop measure is res when the true solution is known, else the
-        gradient ratio ||A^T r||^2 / ||A^T b||^2.  res is fresh, through
-        _scaled_error_sq; it restarts err and the window (lo, hi) that err
-        must stay in to skip the next measure.  Without a kept s (rgs with
-        a known solution) a trace's gradient is A^T r from the kept r, or
-        A^T b - G x once G is held.
-        """
-        nonlocal err, lo, hi
-        grad_sq = res = None
-        if need_grad_sq:
-            g = s if need_gradient else transpose_matvec(A, r) if G is None else atb - G @ x
-            grad_sq = float(np.dot(g, g))
-        if use_res_stop:
-            err = _scaled_error_sq(x, x_star_unit, scale)
-            res = err / x_star_unit_sq
-            lo = max(RES_STOP_MARGIN * tol * x_star_unit_sq, RES_FALL_REFRESH * err)
-            hi = min(err / RES_FALL_REFRESH, 2.0**1000)
-            value, reached = res, res <= tol
-        else:
-            value = grad_sq / grad0_sq if grad0_sq > 0.0 else 0.0
-            reached = grad_sq <= tol * grad0_sq
-        if not math.isfinite(value):
-            name = "relative solution error" if use_res_stop else "gradient ratio"
-            raise NonFiniteValue(f"the {name} is {value} at iteration {k}")
-        return grad_sq, res, value, reached
 
     def energy(x):
         return energy_error_sq(A, x, x_star) if x_star is not None else None
@@ -637,6 +503,7 @@ def solve(problem, config, gram=None):
     max_drift = 0.0
     k = 0
     err = lo = hi = 0.0
+    grad_sq = res = None
     x_star_entries = x_star_unit.tolist() if estimate else None
     # stale: s was updated from G since it was last computed fresh.
     # refresh: s must be computed fresh before it is next used.
@@ -651,10 +518,29 @@ def solve(problem, config, gram=None):
                 s_max_fresh = float(np.abs(s).max())
             stale = refresh = False
         if estimate and lo < err < hi and k % DRIFT_CHECK_INTERVAL and k < config.max_iterations:
-            # err proves res above the tolerance (module docstring).
+            # err proves res above the tolerance (_scaled_error_sq).
             reached = False
         else:
-            grad_sq, res, final_res, reached = measure(x, s, k)
+            # The state of iterate k, fresh.  The stop measure final_res is
+            # res, else the gradient ratio; a fresh res restarts err and
+            # the window (lo, hi) that err must stay in to skip this.
+            if need_grad_sq:
+                # Without a kept s (rgs with a known solution) a trace's
+                # gradient is A^T r from the kept r, or A^T b - G x.
+                g = s if need_gradient else transpose_matvec(A, r) if G is None else atb - G @ x
+                grad_sq = float(np.dot(g, g))
+            if use_res_stop:
+                err = _scaled_error_sq(x, x_star_unit, scale)
+                res = final_res = err / x_star_unit_sq
+                lo = max(RES_STOP_MARGIN * tol * x_star_unit_sq, RES_FALL_REFRESH * err)
+                hi = min(err / RES_FALL_REFRESH, 2.0**1000)
+                reached = res <= tol
+            else:
+                final_res = grad_sq / grad0_sq if grad0_sq > 0.0 else 0.0
+                reached = grad_sq <= tol * grad0_sq
+            if not math.isfinite(final_res):
+                name = "relative solution error" if use_res_stop else "gradient ratio"
+                raise NonFiniteValue(f"the {name} is {final_res} at iteration {k}")
         if stale and not use_res_stop and (reached or k >= config.max_iterations):
             # A gradient stop, or a gradient ratio reported at the cap,
             # must hold for a fresh gradient, not only for the updated one.
@@ -671,10 +557,8 @@ def solve(problem, config, gram=None):
         except AllZeroGradient:
             if estimate:
                 res = _scaled_error_sq(x, x_star_unit, scale) / x_star_unit_sq
-            # s is fresh here: a stale s that fell to zero set refresh, since
-            # 0 < GRADIENT_FALL_REFRESH * s_max_fresh.  In gradient-stop mode a
-            # fresh zero gradient has already met the stop rule, so this is
-            # res-stop mode with res above tol.
+            # A zero s is fresh (its fall set refresh), and a fresh zero
+            # gradient meets the gradient rule, so this is the res rule.
             raise RankDeficient(
                 f"the gradient A^T r is exactly zero at iteration {k} with res = {res:.3e}, "
                 f"above the tolerance {tol:.1e}: the iterate solves the normal equation, so "
@@ -735,12 +619,10 @@ def solve(problem, config, gram=None):
             refresh = need_gradient
 
     if k % DRIFT_CHECK_INTERVAL:
-        # Also measure the drift of a run that did not end on a checkpoint.
         max_drift = max(max_drift, drift())
     elapsed = time.perf_counter() - t_start
 
     if record:
-        # Close the trace with a state-only record for the final iterate.
         trace.append(StepRecord(
             iteration=k,
             residual_gradient_norm_sq=grad_sq,

@@ -128,6 +128,18 @@ def test_per_step_factor_limit_and_ordering():
         assert ggs_per_step_factor(0.5, n, 2, 3.0) < ggs_first_step_factor(0.5, n, 2, 3.0)
 
 
+@pytest.mark.parametrize("function, args", [
+    (ggs_per_step_factor, (0.0, 2, 1, 1.0)),
+    (ggs_per_step_factor, (1.0, 0, 1, 1.0)),
+    (ggs_per_step_factor, (1.0, 2, 0, 1.0)),
+    (ggs_per_step_factor, (1.0, 2, 1, 0.0)),
+    (ggs_cumulative_bound, (0.5, 0.5, 0, 1.0)),
+], ids=["lambda", "n", "set", "norm_sum", "k"])
+def test_later_step_factor_and_envelope_reject_bad_inputs(function, args):
+    with pytest.raises(ValueError):
+        function(*args)
+
+
 def test_per_step_factor_single_column():
     with pytest.raises(NotApplicable):
         ggs_per_step_factor(1.0, 1, 1, 1.0)

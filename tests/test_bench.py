@@ -191,6 +191,14 @@ def test_emit_table_formats_four_decimals():
     assert rows[1][3] == "1.0178"
 
 
+def test_an_unknown_problem_kind_or_table_format_is_refused():
+    entry = ManifestEntry(label="t", kind="tape")
+    with pytest.raises(ValueError, match="^unknown problem kind 'tape'$"):
+        build_trial_problem(entry, base_seed=1, trial=0)
+    with pytest.raises(ValueError, match="^unknown table format 'html'$"):
+        emit_table([synthetic_result()], fmt="html")
+
+
 def test_emit_table_empty():
     text = emit_table([], fmt="csv")
     assert text.strip() == "problem,it_speedup,cpu_speedup"

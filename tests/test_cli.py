@@ -482,6 +482,19 @@ def test_info_on_a_huge_declared_shape_is_a_parse_error(tmp_path):
         1, "", "greedylsq: line 2: a 3 x 2147483648 matrix does not fit in memory\n")
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    (["info", data_path("fixture3x2.mtx")], 0, "rows: 3\ncols: 2\nnnz: 2\ndensity: 33.33%\ncond: 2.0000\n"),
+    ([], 64, ""),
+])
+def test_python_m_greedylsq_runs_the_cli(argv, code, out):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "greedylsq", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert ("usage:" in done.stderr) == (code == 64)
+
+
 def test_rhs_length_mismatch_names_both_counts(tmp_path, capsys):
     rhs = tmp_path / "b.txt"
     rhs.write_text("1.0\n2.0\n")

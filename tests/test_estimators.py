@@ -45,6 +45,24 @@ def test_predict_and_score(worked_dense, worked_rhs):
     assert est.score(A, problem.rhs) > 0.999999
 
 
+def test_score_and_predict_name_both_lengths_of_a_mismatch():
+    A = gen_gaussian(50, 4, seed=9)
+    est = GreedyGaussSeidel().fit(A, make_consistent(A, seed=10).rhs)
+    with pytest.raises(ValueError, match="^y has length 1, but X has 50 rows$"):
+        est.score(A, [3.0])
+    for X in (np.ones((3, 5)), sparse.csc_array(np.ones((3, 5)))):
+        with pytest.raises(ValueError, match="^X has 5 columns, but coef_ has length 4$"):
+            est.predict(X)
+
+
+def test_score_on_a_constant_y():
+    A = np.ones((3, 1))
+    est = GreedyGaussSeidel().fit(A, [2.0, 2.0, 2.0])
+    assert est.coef_.tolist() == [2.0]
+    assert est.score(A, [2.0, 2.0, 2.0]) == 1.0  # exact prediction of a constant
+    assert est.score(A, [5.0, 5.0, 5.0]) == 0.0
+
+
 def test_sparse_input_accepted(worked_csc, worked_rhs):
     est = GreedyGaussSeidel().fit(worked_csc, worked_rhs, x_true=np.array([1.0, 1.0]))
     assert np.array_equal(est.coef_, [1.0, 1.0])

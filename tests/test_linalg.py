@@ -151,6 +151,12 @@ def test_column_dot_index_out_of_range(worked_dense):
         column_dot(worked_dense, 2, np.zeros(3))
 
 
+def test_axpy_column_refuses_a_vector_of_another_length(worked_dense, worked_csc):
+    for A in (worked_dense, worked_csc):
+        with pytest.raises(ValueError, match="^r has length 2, expected 3$"):
+            axpy_column(np.zeros(2), A, 0, 1.0)
+
+
 def test_axpy_column_zero_alpha(worked_dense, worked_csc):
     for A in (worked_dense, worked_csc):
         r = np.array([1.0, 2.0, 3.0])

@@ -176,6 +176,18 @@ def test_make_inconsistent_full_rank_output_is_the_cholesky_projection(m, n, sto
         np.testing.assert_array_equal(problem.rhs, A @ x_true + r0)
 
 
+def test_a_failed_gram_factorization_raises_rank_deficient(monkeypatch):
+    # The rank test passes this matrix; a Cholesky failure is still named.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+
+    monkeypatch.setattr(problems, "cho_factor", fail)
+    A = gen_gaussian(30, 3, seed=2)
+    for make in (lambda: make_inconsistent(A, seed=3), lambda: reference_solution(make_consistent(A, 3))):
+        with pytest.raises(RankDeficient, match="^Gram factorization failed: 2-th leading minor"):
+            make()
+
+
 def test_reference_solution_refines_on_an_ill_conditioned_matrix(monkeypatch):
     # cond(A) = 1e5 passes the rank test (cond(A^T A) = 1e10 < 1e12), and
     # with x* on the smallest singular direction the first Cholesky solve
@@ -321,6 +333,15 @@ def test_parse_errors_carry_line_numbers():
     ("coordinate real general\n99999999999999999999 2 1\n1 1 1.0\n", 2,
      "bad dimensions 99999999999999999999 x 2 with 1 entries"),
     ("coordinate real general\n2 2 2\n1 1 1.0\n99999999999999999999 1 5.0\n", 4, "99999999999999999999"),
+    # A skew-symmetric diagonal entry is named by its own line.
+    ("coordinate real skew-symmetric\n2 2 1\n1 1 3.0\n", 3,
+     "skew-symmetric matrix has a nonzero diagonal entry"),
+    ("coordinate real skew-symmetric\n3 3 2\n2 1 1.0\n% c\n3 3 -2.0\n", 5, "nonzero diagonal entry"),
+    # Header faults, and a file that ends before its size line.
+    ("tensor real general\n2 2 1\n1 1 1.0\n", 1, "unknown format 'tensor'"),
+    ("coordinate quaternion general\n2 2 1\n1 1 1.0\n", 1, "unknown field 'quaternion'"),
+    ("coordinate real upper\n2 2 1\n1 1 1.0\n", 1, "unknown symmetry 'upper'"),
+    ("coordinate real general\n% no size line\n\n", 3, "missing size line"),
 ])
 def test_parse_errors_name_the_line_past_comments(tmp_path, text, line_number, message):
     path = tmp_path / "bad.mtx"
@@ -329,6 +350,17 @@ def test_parse_errors_name_the_line_past_comments(tmp_path, text, line_number, m
         load_matrix_market(path)
     assert err.value.line_number == line_number
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("%%MatrixMarket vector coordinate real general\n2 1\n", "unsupported object 'vector'"),
+])
+def test_header_faults_name_line_1(tmp_path, text, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+        load_matrix_market(path)
 
 
 def test_load_skips_comments_and_blanks_between_entries(tmp_path):
@@ -440,6 +472,31 @@ def test_density_is_derived_from_the_stored_matrix():
         dataclasses.replace(problem, density=0.5)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((2, 2, 2)), "expected a 2-D matrix, got ndim=3"),
+    (np.zeros((0, 3)), r"at least one row and column, got \(0, 3\)"),
+    (np.zeros((3, 0)), r"at least one row and column, got \(3, 0\)"),
+    (sparse.csc_array((0, 3)), r"at least one row and column, got \(0, 3\)"),
+    (sparse.csc_array((3, 0)), r"at least one row and column, got \(3, 0\)"),
+])
+def test_a_matrix_needs_two_dimensions_with_entries(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        as_matrix(matrix)
+    with pytest.raises(ValueError, match=message):
+        LsqProblem(matrix=matrix, rhs=np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (1, 6), (2, 3)])
+def test_a_2d_rhs_is_ravelled_only_with_one_row_or_column(shape):
+    A = gen_gaussian(6, 2, seed=4)
+    b = np.arange(6.0)
+    if 1 in shape:
+        assert np.array_equal(LsqProblem(matrix=A, rhs=b.reshape(shape)).rhs, b)
+    else:
+        with pytest.raises(ValueError, match=r"^rhs must be 1-D, got shape \(2, 3\)$"):
+            LsqProblem(matrix=A, rhs=b.reshape(shape))
+
+
 def _coercion_inputs():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0], [0.0, 6.0, 0.0]])
 
@@ -507,6 +564,9 @@ def test_load_vector_comments_and_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_vector(bad)
     assert "line 2" in str(err.value)
+    bad.write_text("# no values\n\n% at all\n")
+    with pytest.raises(ParseError, match="^line 1: vector file has no values$"):
+        load_vector(bad)
 
 
 def test_load_manifest(tmp_path):
@@ -537,6 +597,16 @@ def test_load_manifest_errors(tmp_path):
     bad.write_text("# nothing\n")
     with pytest.raises(ParseError):
         load_manifest(bad)
+    for text, message in [
+        ("row1 random:10x5\n", "^line 1: expected 'label matrix consistency \\[seed\\]'$"),
+        ("# c\nrow1 random:10x5 consistent 1 2\n", "^line 2: expected 'label"),
+        ("row1 random:10x5 consistent x\n", "^line 1: bad seed 'x'$"),
+        ("\nrow1 random:10 consistent\n", "^line 2: bad random spec 'random:10'; want random:MxN$"),
+        ("row1 random:10xq consistent  # trailing\n", "^line 1: bad random spec 'random:10xq'$"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_manifest(bad)
 
 
 def test_manifest_negative_seed_names_its_line(tmp_path):

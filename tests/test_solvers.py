@@ -674,6 +674,18 @@ def test_drift_is_measured_at_extreme_scales(monkeypatch, method, known):
         assert report.max_drift_rel.hex() == RESIDUAL_DRIFT_PINS[method.value, known]
 
 
+@pytest.mark.parametrize("storage", [np.asfortranarray, sparse.csc_array])
+def test_residual_drift_at_a_zero_rhs_is_the_absolute_drift(storage):
+    # b = 0 gives the residual's drift no reference scale.  rgs with a
+    # known solution and a cap below n stays on the residual and never
+    # moves x, so its drift is exactly 0, not 0 / 0.
+    A = storage(gen_gaussian(50, 8, seed=3))
+    problem = LsqProblem(matrix=A, rhs=np.zeros(50), known_solution=np.ones(8))
+    report = solve(problem, SolverConfig(method=Method.RGS, max_iterations=5))
+    assert (report.stop_reason, report.iterations, report.final_res) == (StopReason.ITERATION_CAP, 5, 1.0)
+    assert report.max_drift_rel == 0.0 and not report.solution.any()
+
+
 # ---------------------------------------------------------------------------
 # incremental gradient: cost and honesty
 # ---------------------------------------------------------------------------
