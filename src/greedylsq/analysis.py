@@ -127,12 +127,15 @@ def grcd_expected_factor(A, lambda_min):
 
     Raises:
         NotApplicable: for n = 1.
+        RankDeficient: for an all-zero A.
     """
     A = as_matrix(A)
     if A.shape[1] == 1:
         raise NotApplicable("expected factor is undefined for a single column")
     norms = column_norms_sq(A)
     frob_sq = float(norms.sum())
+    if frob_sq == 0.0:
+        raise RankDeficient("||A||_F^2 is 0: the matrix is all zero, or its squares underflow")
     min_norm = float(norms.min())
     f = 1.0 - 0.5 * (1.0 / (frob_sq - min_norm) + 1.0 / frob_sq) * lambda_min
     return _check_factor(f)
@@ -160,7 +163,7 @@ class BoundReport:
     cumulative_violations: int = 0
 
     def to_text(self):
-        """Serialize as key: value lines."""
+        """Serialize as key: value lines, then each step's factor."""
         lines = [
             f"lambda_min: {self.lambda_min:.12e}",
             f"max_set_size: {self.max_set_size}",
@@ -175,6 +178,10 @@ class BoundReport:
         for it, meas, bound in self.violations:
             lines.append(f"violation: iteration={it} measured={meas:.12e} bound={bound:.12e}")
         lines.append(f"cumulative_violations: {self.cumulative_violations}")
+        lines.append("factors:")
+        if self.first_step_factor is not None:
+            lines.append(f"  k=0 factor={self.first_step_factor:.12e}")
+        lines += [f"  k={k} factor={f:.12e}" for k, f in enumerate(self.per_step_factors, start=1)]
         return "\n".join(lines) + "\n"
 
     @staticmethod

@@ -60,13 +60,13 @@ class ExperimentResult:
     failed_trials: int = 0
 
 
-def build_trial_problem(entry, base_seed, trial, file_matrix=None):
+def build_trial_problem(entry, base_seed, trial):
     """Materialize the problem a given trial solves."""
     if entry.kind == "random":
         seed = base_seed + trial
         A = gen_gaussian(entry.rows, entry.cols, seed)
     elif entry.kind == "file":
-        A = file_matrix if file_matrix is not None else load_matrix_market(entry.path)
+        A = load_matrix_market(entry.path)
         seed = base_seed
     else:
         raise ValueError(f"unknown problem kind {entry.kind!r}")
@@ -76,21 +76,22 @@ def build_trial_problem(entry, base_seed, trial, file_matrix=None):
 def run_experiment(spec):
     """Run every method of the spec over ``repeats`` trials and average.
 
-    Each trial builds one problem, and one G = A^T A when it fits
-    (solvers.gram_fits), shared by the solves of all its methods; the
-    randomized methods are seeded with base seed + trial index.  Trials
-    that hit the iteration cap are left out of the averages with a
-    warning.  Times cover each solve, not the problem or G.  No warmup
-    solve runs, so when no G fits, the first method of a trial pays the
-    first touch of the matrix.
+    Each trial of a random row, and once per run a file row, builds one
+    problem and one G = A^T A when it fits (solvers.gram_fits), shared by
+    all the solves on it; the randomized methods are seeded with base seed
+    + trial index.  Trials that hit the iteration cap are left out of the
+    averages with a warning.  Times cover each solve, not the problem or
+    G.  No warmup solve runs, so when no G fits, the first solve on each
+    problem pays the first touch of the matrix.
     """
     entry = spec.problem
-    file_matrix = load_matrix_market(entry.path) if entry.kind == "file" else None
     result = ExperimentResult(label=entry.label, methods=list(spec.methods))
 
     for t in range(spec.repeats):
-        problem = build_trial_problem(entry, spec.base_seed, t, file_matrix)
-        gram = gram_matrix(problem.matrix) if gram_fits(problem.matrix) else None
+        if t == 0 or entry.kind != "file":
+            gram = None  # frees the last trial's G before the next is built
+            problem = build_trial_problem(entry, spec.base_seed, t)
+            gram = gram_matrix(problem.matrix) if gram_fits(problem.matrix) else None
         for method in spec.methods:
             config = SolverConfig(
                 method=method,
@@ -107,7 +108,6 @@ def run_experiment(spec):
                 stop_reason=report.stop_reason,
                 final_res=report.final_res,
             ))
-        del gram
 
     for method in spec.methods:
         ok = [rec for rec in result.trials if rec.method is method and not rec.failed]

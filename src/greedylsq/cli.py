@@ -277,13 +277,8 @@ def cmd_verify_bounds(args, parser):
     print(f"cumulative_violations: {bounds.cumulative_violations}")
 
     if args.out:
-        text = bounds.to_text() + "factors:\n"
-        if bounds.first_step_factor is not None:
-            text += f"  k=0 factor={bounds.first_step_factor:.12e}\n"
-        for i, f in enumerate(bounds.per_step_factors, start=1):
-            text += f"  k={i} factor={f:.12e}\n"
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(bounds.to_text())
         print(f"report: {args.out}", file=sys.stderr)
     if args.csv:
         fresh = not os.path.exists(args.csv)
@@ -347,7 +342,3 @@ def main(argv=None):
     except (GreedyLsqError, OSError) as exc:
         print(f"greedylsq: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,7 +1,8 @@
 """Coordinate-descent solvers for linear least squares.
 
 Four methods share one loop and differ only in how the working column j
-is chosen (ggs_select, ggs_randomized_select, grcd_select, rgs_select).
+is chosen: solve picks one select(s) per solve from the method, which
+calls ggs_select, ggs_randomized_select, grcd_select or rgs_select.
 Each step moves x[j] by alpha = (A[:, j] . r) / ||A[:, j]||^2, which
 zeroes the gradient entry of column j.
 
@@ -333,19 +334,6 @@ def step(x, r, A, j, col_norm_sq_j):
     return alpha
 
 
-# The selection rule of each method, called as rule(s, col_norms_sq,
-# picks, frob_sq, rng) and returning (chosen index, member index array,
-# grcd threshold or None); picks is the rgs stream, None for the others.
-# Each entry looks its select function up by module attribute at call
-# time, so a wrapper installed there sees every call.
-_SELECT = {
-    Method.GGS: lambda s, norms, picks, frob_sq, rng: (*ggs_select(s, norms), None),
-    Method.GGS_RANDOMIZED: lambda s, norms, picks, frob_sq, rng: (*ggs_randomized_select(s, norms, rng), None),
-    Method.GRCD: lambda s, norms, picks, frob_sq, rng: grcd_select(s, norms, frob_sq, rng),
-    Method.RGS: lambda s, norms, picks, frob_sq, rng: ((j := next(picks)), [j], None),
-}
-
-
 def gram_fits(A):
     """Whether a solve on A keeps a dense G = A^T A: its n*n*8 bytes fit
     in the bytes that store A (with CSC's index arrays) or in
@@ -410,15 +398,24 @@ def solve(problem, config, gram=None):
         raise ValueError(f"gram must be an ({n}, {n}) float64 ndarray, gram_matrix(problem.matrix)")
 
     method = config.method
-    select = _SELECT[method]
     rng = np.random.default_rng(config.seed) if method is not Method.GGS else None
     record = config.record_trace
     tol = config.res_tolerance
 
     t_start = time.perf_counter()
     col_norms = column_norms_sq(A)
-    frob_sq = float(col_norms.sum())
-    picks = _rgs_picks(np.cumsum(col_norms), rng) if method is Method.RGS else None
+    # select(s) -> (chosen index, member array, grcd threshold or None) calls
+    # its rule through the module attribute, so a wrapper there sees each call.
+    if method is Method.RGS:
+        picks = _rgs_picks(np.cumsum(col_norms), rng)
+        select = lambda s: ((j := next(picks)), [j], None)
+    elif method is Method.GRCD:
+        frob_sq = float(col_norms.sum())
+        select = lambda s: grcd_select(s, col_norms, frob_sq, rng)
+    elif method is Method.GGS_RANDOMIZED:
+        select = lambda s: (*ggs_randomized_select(s, col_norms, rng), None)
+    else:
+        select = lambda s: (*ggs_select(s, col_norms), None)
     # A NaN, infinite or overflowing entry of A shows in its column norms,
     # so this needs no extra pass over the matrix.
     if not np.isfinite(col_norms).all():
@@ -460,11 +457,17 @@ def solve(problem, config, gram=None):
     # The gradient is needed for selection by every method except rgs, and
     # for the gradient stopping rule; a trace only reads its norm.
     need_gradient = method is not Method.RGS or not use_res_stop
-    need_grad_sq = record or not use_res_stop
 
-    s = transpose_matvec(A, r) if need_gradient else None
-    if s is not None and not np.isfinite(s).all():
-        raise NonFiniteValue("A^T b has a NaN or infinite entry at iteration 0")
+    s = None
+    if need_gradient:
+        s = transpose_matvec(A, r)
+        if not np.isfinite(s).all():
+            raise NonFiniteValue("A^T b has a NaN or infinite entry at iteration 0")
+        # s's drift reference A^T b, and max|s| at the start and at its last
+        # fresh computation, which the refresh triggers compare rather than
+        # ||s||^2, which overflows long before s does.
+        atb = s.copy()
+        s_max0 = s_max_fresh = float(np.abs(s).max())
     grad0_sq = None
     if not use_res_stop:
         grad0_sq = float(np.dot(s, s))
@@ -511,11 +514,8 @@ def solve(problem, config, gram=None):
 
     while True:
         if refresh:
-            if G is None:
-                s = transpose_matvec(A, r)
-            else:
-                s = transpose_matvec(A, b - matvec(A, x))
-                s_max_fresh = float(np.abs(s).max())
+            s = transpose_matvec(A, r if G is None else b - matvec(A, x))
+            s_max_fresh = float(np.abs(s).max())
             stale = refresh = False
         if estimate and lo < err < hi and k % DRIFT_CHECK_INTERVAL and k < config.max_iterations:
             # err proves res above the tolerance (_scaled_error_sq).
@@ -524,7 +524,7 @@ def solve(problem, config, gram=None):
             # The state of iterate k, fresh.  The stop measure final_res is
             # res, else the gradient ratio; a fresh res restarts err and
             # the window (lo, hi) that err must stay in to skip this.
-            if need_grad_sq:
+            if record or not use_res_stop:
                 # Without a kept s (rgs with a known solution) a trace's
                 # gradient is A^T r from the kept r, or A^T b - G x.
                 g = s if need_gradient else transpose_matvec(A, r) if G is None else atb - G @ x
@@ -553,7 +553,7 @@ def solve(problem, config, gram=None):
             stop_reason = StopReason.ITERATION_CAP
             break
         try:
-            j, members, threshold = select(s, col_norms, picks, frob_sq, rng)
+            j, members, threshold = select(s)
         except AllZeroGradient:
             if estimate:
                 res = _scaled_error_sq(x, x_star_unit, scale) / x_star_unit_sq
@@ -577,15 +577,7 @@ def solve(problem, config, gram=None):
             ))
 
         if k == gram_step:
-            if need_gradient:
-                # The loop keeps x and s only; A^T b, which s still is, is
-                # the reference for s's drift.
-                atb = s.copy()
-                # max|s| at the start and at the last fresh computation of
-                # s; the refresh triggers compare these rather than ||s||^2,
-                # which overflows long before s does.
-                s_max0 = s_max_fresh = float(np.abs(s).max())
-            else:
+            if not need_gradient:
                 # The residual's drift is measured once more; r is then unused.
                 max_drift = max(max_drift, drift())
                 atb = transpose_matvec(A, b)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -16,6 +18,18 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name):
     return os.path.join(DATA_DIR, name)
+
+
+def report_digest(report):
+    """A SHA-256 prefix of every bit of a SolveReport but its time: the
+    solution, iterations, stop reason, final_res, max_drift_rel and each
+    trace record."""
+    digest = hashlib.sha256(report.solution.tobytes())
+    digest.update(repr((report.iterations, report.stop_reason.value, report.final_res.hex(),
+                        report.max_drift_rel.hex())).encode())
+    for record in report.trace or ():
+        digest.update(repr(dataclasses.astuple(record)).encode())
+    return digest.hexdigest()[:16]
 
 
 @pytest.fixture

@@ -182,6 +182,13 @@ def test_grcd_expected_factor_single_column():
         grcd_expected_factor(np.ones((4, 1)), 4.0)
 
 
+@pytest.mark.parametrize("A", [np.zeros((4, 2)), sparse.csc_array((4, 3)), np.full((4, 2), 1e-170)],
+                         ids=["dense", "csc", "underflowing"])
+def test_grcd_expected_factor_refuses_an_all_zero_matrix(A):
+    with pytest.raises(RankDeficient, match="all zero"):
+        grcd_expected_factor(A, 1.0)
+
+
 def worked_report():
     A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], order="F")
     problem = LsqProblem(matrix=A, rhs=np.array([1.0, 2.0, 3.0]),

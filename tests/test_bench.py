@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import data_path
+from conftest import data_path, report_digest
 
 from greedylsq import bench, cli, solvers
 from greedylsq.bench import (
@@ -18,7 +18,7 @@ from greedylsq.bench import (
     emit_table,
     run_experiment,
 )
-from greedylsq.problems import LsqProblem, ManifestEntry, save_matrix_market
+from greedylsq.problems import LsqProblem, ManifestEntry, gen_gaussian, save_matrix_market
 from greedylsq.solvers import Method, SolverConfig, solve
 
 
@@ -167,6 +167,43 @@ def test_a_trial_whose_gram_matrix_does_not_fit_builds_none(monkeypatch, tmp_pat
     result = run_experiment(spec)
     assert len(grams) == 0
     _check_records_equal_plain_solves(spec, result)
+
+
+# report_digest of each solve of a 3-trial run on a 200x10 file row, in
+# run order (trial by trial, methods in Method order), recorded when
+# run_experiment still built the problem and G once per trial.
+FILE_ROW_REPORT_PINS = {
+    "consistent": [
+        "6ab55f1cbe137efb", "6ab55f1cbe137efb", "5c0210d5d385e0b3", "6adf3151e5647189",
+        "6ab55f1cbe137efb", "6ab55f1cbe137efb", "245b1ed038841bd9", "89a888dd70da9189",
+        "6ab55f1cbe137efb", "6ab55f1cbe137efb", "8ad5922ebf74c10a", "a98bacef87828889",
+    ],
+    "inconsistent": [
+        "c7ff5c6c158f279e", "c7ff5c6c158f279e", "804ade0994854466", "54a11ef51e91ecc1",
+        "c7ff5c6c158f279e", "c7ff5c6c158f279e", "a38b9e57ad3dbd49", "7cc46945f5a043a4",
+        "c7ff5c6c158f279e", "c7ff5c6c158f279e", "ea68498fc17ec4f5", "202084dec4e5eff8",
+    ],
+}
+
+
+@pytest.mark.parametrize("consistency", sorted(FILE_ROW_REPORT_PINS))
+def test_a_file_row_is_built_once_per_run(monkeypatch, tmp_path, consistency):
+    path = tmp_path / "m.mtx"
+    save_matrix_market(gen_gaussian(200, 10, 93), path)
+    builds = {"load_matrix_market": [], "synthesize_problem": []}
+    for name, calls in builds.items():
+        original = getattr(bench, name)
+        monkeypatch.setattr(bench, name, lambda *a, original=original, calls=calls:
+                            calls.append(1) or original(*a))
+    builds["gram_matrix"] = _count_gram_builds(monkeypatch)
+    reports = []
+    monkeypatch.setattr(bench, "solve", lambda *a, **k: reports.append(solve(*a, **k)) or reports[-1])
+    entry = ManifestEntry(label="f", kind="file", path=str(path), consistent=consistency == "consistent")
+    result = run_experiment(ExperimentSpec(problem=entry, methods=list(Method), repeats=3, base_seed=8))
+    assert {name: len(calls) for name, calls in builds.items()} == dict.fromkeys(builds, 1)
+    assert [report_digest(report) for report in reports] == FILE_ROW_REPORT_PINS[consistency]
+    assert [(rec.iterations, rec.final_res) for rec in result.trials] == \
+           [(report.iterations, report.final_res) for report in reports]
 
 
 def synthetic_result():

@@ -155,6 +155,24 @@ def test_verify_bounds_random(tmp_path, capsys):
     assert "factors:" in text
 
 
+# SHA-256 of the --out report of `verify-bounds --random 60 6 2`, recorded
+# when cmd_verify_bounds still appended the factors: list to to_text().
+VERIFY_BOUNDS_OUT_SHA256 = "719386697032fc476ca83a68fb4a281c46fcb9a7e91f09fe5bdbec95673f44bb"
+
+
+def test_verify_bounds_out_is_the_bound_report_text(tmp_path, monkeypatch, capsys):
+    reports = []
+    original = cli.verify_trace
+    monkeypatch.setattr(cli, "verify_trace", lambda *a: reports.append(original(*a)) or reports[-1])
+    report_path = tmp_path / "report.txt"
+    code, _, _ = run_cli(capsys, "verify-bounds", "--random", "60", "6", "2", "--out", str(report_path))
+    assert code == 0
+    data = report_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == VERIFY_BOUNDS_OUT_SHA256
+    assert data.decode() == reports[0].to_text()
+    assert data.decode().endswith("\n  k=19 factor=8.514041555907e-01\n")
+
+
 def test_verify_bounds_exits_1_on_a_violation(tmp_path, monkeypatch, capsys):
     # The run's own trace, with the initial energy put back at iterate 2.
     def with_a_raised_energy(trace, lam, n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import report_digest
 from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_rgs_select
 
 from greedylsq import solvers
@@ -1446,13 +1447,13 @@ def test_gradient_stop_raises_when_its_threshold_underflows(method, c):
 # pinned greedy reports
 # ---------------------------------------------------------------------------
 
-def _pinned_greedy_grid():
+def _pinned_grid(methods):
     """(key, problem, config) of each pinned solve: dense 60x8 and 300x20
     and their CSC copies, each res-stop (consistent, known solution) and
-    gradient-stop (inconsistent, no known solution), under the three
-    greedy methods, traced and untraced.  At tol 1e-10 every one of these
-    solves computes its gradient fresh once on GRADIENT_FALL_REFRESH,
-    before any drift checkpoint."""
+    gradient-stop (inconsistent, no known solution), under the given
+    methods, traced and untraced.  At tol 1e-10 every one of these solves
+    under a greedy method computes its gradient fresh once on
+    GRADIENT_FALL_REFRESH, before any drift checkpoint."""
     grid = []
     for m, n, seed in ((60, 8, 61), (300, 20, 62)):
         A = gen_gaussian(m, n, seed)
@@ -1461,24 +1462,15 @@ def _pinned_greedy_grid():
         for storage, matrix in (("dense", A), ("csc", sparse.csc_array(A))):
             for stop, problem in stops.items():
                 problem = dataclasses.replace(problem, matrix=matrix)
-                for method in ("ggs", "ggs-random", "grcd"):
-                    for traced in ("untraced", "traced"):
-                        config = SolverConfig(method=method, seed=3, res_tolerance=1e-10,
-                                              record_trace=traced == "traced")
-                        grid.append((f"{m}x{n} {storage} {stop} {method} {traced}", problem, config))
+                grid += _method_grid(f"{m}x{n} {storage} {stop}", problem, methods)
     return grid
 
 
-def _report_digest(report):
-    """A SHA-256 prefix of every bit of a report but its time: the
-    solution, iterations, stop reason, final_res, max_drift_rel and each
-    trace record."""
-    digest = hashlib.sha256(report.solution.tobytes())
-    digest.update(repr((report.iterations, report.stop_reason.value, report.final_res.hex(),
-                        report.max_drift_rel.hex())).encode())
-    for record in report.trace or ():
-        digest.update(repr(dataclasses.astuple(record)).encode())
-    return digest.hexdigest()[:16]
+def _method_grid(label, problem, methods):
+    """(key, problem, config) of problem under each method, traced and untraced."""
+    return [(f"{label} {method} {traced}", problem,
+             SolverConfig(method=method, seed=3, res_tolerance=1e-10, record_trace=traced == "traced"))
+            for method in methods for traced in ("untraced", "traced")]
 
 
 # Recorded before the greedy steps read max|s| through argmax.
@@ -1538,14 +1530,14 @@ def test_greedy_reports_equal_their_pins_in_either_order(monkeypatch):
     # The second pass runs the grid backwards in the same process, so a
     # solve that kept |s|, or any other state, from the solve before it
     # would change a digest there.
-    grid = _pinned_greedy_grid()
+    grid = _pinned_grid(("ggs", "ggs-random", "grcd"))
     gradients = _count_calls(monkeypatch, "transpose_matvec")
     fresh = {}
     for order in (grid, grid[::-1]):
         digests = {}
         for key, problem, config in order:
             gradients.clear()
-            digests[key] = _report_digest(solve(problem, config))
+            digests[key] = report_digest(solve(problem, config))
             fresh[key] = len(gradients)
         assert digests == GREEDY_REPORT_PINS
     # With the fall trigger off, every solve computes A^T r fresh once less.
@@ -1554,3 +1546,83 @@ def test_greedy_reports_equal_their_pins_in_either_order(monkeypatch):
         gradients.clear()
         solve(problem, config)
         assert len(gradients) == fresh[key] - 1, key
+
+
+# Digests of rgs on the grid above, recorded before solve chose one
+# select closure per method.
+RGS_REPORT_PINS = {
+    "60x8 dense res rgs untraced": "52c6d6c7a77f0f45",
+    "60x8 dense res rgs traced": "7f832317f0aabb1f",
+    "60x8 dense gradient rgs untraced": "7d301e67ba4f35d5",
+    "60x8 dense gradient rgs traced": "fae1e463b293f7bc",
+    "60x8 csc res rgs untraced": "29c8b012f690ed67",
+    "60x8 csc res rgs traced": "d57adf741aba7054",
+    "60x8 csc gradient rgs untraced": "4b6fccd0b9f1ac53",
+    "60x8 csc gradient rgs traced": "8a533d5bc41208ae",
+    "300x20 dense res rgs untraced": "4b42b982ec76bd40",
+    "300x20 dense res rgs traced": "7aeb7b6c85a20f20",
+    "300x20 dense gradient rgs untraced": "133733713cb7fe64",
+    "300x20 dense gradient rgs traced": "3f69271b1eed32f7",
+    "300x20 csc res rgs untraced": "514981e47b8b5ba0",
+    "300x20 csc res rgs traced": "7a2913dd582e45ea",
+    "300x20 csc gradient rgs untraced": "baa4192d288913dc",
+    "300x20 csc gradient rgs traced": "b6710cd86d1d677d",
+}
+
+
+def test_rgs_reports_equal_their_pins():
+    assert {key: report_digest(solve(problem, config))
+            for key, problem, config in _pinned_grid(("rgs",))} == RGS_REPORT_PINS
+
+
+def _over_budget_grid():
+    """(key, problem, config) of each over-budget pinned solve.  A dense
+    matrix with m >= n stores at least the bytes of its G, so a dense G is
+    over budget only for a wide matrix, where a known solution is never
+    the only least-squares solution: a 30x40 gradient-stop problem.  The
+    CSC matrix is _sparse_problem()'s, res-stop and gradient-stop."""
+    methods = [m.value for m in Method]
+    wide = np.random.default_rng(81).standard_normal((30, 40))
+    csc = _sparse_problem()
+    return (_method_grid("30x40 dense gradient", LsqProblem(matrix=wide, rhs=wide[:, 0] + 1.0), methods)
+            + _method_grid("400x100 csc res", csc, methods)
+            + _method_grid("400x100 csc gradient", LsqProblem(matrix=csc.matrix, rhs=csc.rhs), methods))
+
+
+# Recorded before solve chose one select closure per method.
+OVER_BUDGET_REPORT_PINS = {
+    "30x40 dense gradient ggs untraced": "3ea5d7aa75f9301d",
+    "30x40 dense gradient ggs traced": "068f12583cbf0486",
+    "30x40 dense gradient ggs-random untraced": "3ea5d7aa75f9301d",
+    "30x40 dense gradient ggs-random traced": "068f12583cbf0486",
+    "30x40 dense gradient grcd untraced": "c92d59248b693686",
+    "30x40 dense gradient grcd traced": "160add1834cfc5e8",
+    "30x40 dense gradient rgs untraced": "1d331f68dc461f72",
+    "30x40 dense gradient rgs traced": "b48bddb93a510a92",
+    "400x100 csc res ggs untraced": "9dac44c532df2143",
+    "400x100 csc res ggs traced": "77612191c7962932",
+    "400x100 csc res ggs-random untraced": "9dac44c532df2143",
+    "400x100 csc res ggs-random traced": "77612191c7962932",
+    "400x100 csc res grcd untraced": "b813b01088d66877",
+    "400x100 csc res grcd traced": "9cba4068f7dcec04",
+    "400x100 csc res rgs untraced": "03c2dc848221ac9e",
+    "400x100 csc res rgs traced": "2673e5b915469c35",
+    "400x100 csc gradient ggs untraced": "702b5117582af905",
+    "400x100 csc gradient ggs traced": "55c88c1be45a23b3",
+    "400x100 csc gradient ggs-random untraced": "702b5117582af905",
+    "400x100 csc gradient ggs-random traced": "55c88c1be45a23b3",
+    "400x100 csc gradient grcd untraced": "aeb2269227669e78",
+    "400x100 csc gradient grcd traced": "2bbbd14b62fedec9",
+    "400x100 csc gradient rgs untraced": "07da7eed0d586e0c",
+    "400x100 csc gradient rgs traced": "908c675dd99e5d3c",
+}
+
+
+def test_over_budget_reports_equal_their_pins(monkeypatch):
+    monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
+    grams = _count_calls(monkeypatch, "gram_matrix")
+    grid = _over_budget_grid()
+    assert not any(solvers.gram_fits(problem.matrix) for _, problem, _ in grid)
+    assert {key: report_digest(solve(problem, config))
+            for key, problem, config in grid} == OVER_BUDGET_REPORT_PINS
+    assert not grams
