@@ -12,7 +12,6 @@ import io
 import warnings
 from dataclasses import dataclass, field
 
-from .analysis import gram_matrix
 from .problems import ManifestEntry, gen_gaussian, load_matrix_market, synthesize_problem
 from .solvers import Method, SolverConfig, StopReason, gram_fits, solve
 
@@ -39,7 +38,7 @@ class TrialRecord:
     trial: int
     method: Method
     iterations: int
-    cpu_seconds: float  # perf_counter wall time of the solve (without G), not CPU time
+    cpu_seconds: float  # perf_counter wall time of the solve, without the problem's views; not CPU time
     stop_reason: StopReason
     final_res: float
 
@@ -77,21 +76,23 @@ def run_experiment(spec):
     """Run every method of the spec over ``repeats`` trials and average.
 
     Each trial of a random row, and once per run a file row, builds one
-    problem and one G = A^T A when it fits (solvers.gram_fits), shared by
-    all the solves on it; the randomized methods are seeded with base seed
-    + trial index.  Trials that hit the iteration cap are left out of the
+    problem, shared by all the solves on it, and its views (the column
+    norms, A^T b, and G = A^T A when it fits, solvers.gram_fits) before
+    the first solve; the randomized methods are seeded with base seed +
+    trial index.  Trials that hit the iteration cap are left out of the
     averages with a warning.  Times cover each solve, not the problem or
-    G.  No warmup solve runs, so when no G fits, the first solve on each
-    problem pays the first touch of the matrix.
+    its views, so no solve pays the first touch of the matrix.
     """
     entry = spec.problem
     result = ExperimentResult(label=entry.label, methods=list(spec.methods))
 
     for t in range(spec.repeats):
         if t == 0 or entry.kind != "file":
-            gram = None  # frees the last trial's G before the next is built
+            problem = None  # frees the last trial's problem and views first
             problem = build_trial_problem(entry, spec.base_seed, t)
-            gram = gram_matrix(problem.matrix) if gram_fits(problem.matrix) else None
+            problem.column_norms_sq, problem.atb  # built here, outside the solves' times
+            if gram_fits(problem.matrix):
+                problem.gram
         for method in spec.methods:
             config = SolverConfig(
                 method=method,
@@ -99,7 +100,7 @@ def run_experiment(spec):
                 res_tolerance=spec.res_tolerance,
                 seed=spec.base_seed + t,
             )
-            report = solve(problem, config, gram=gram)
+            report = solve(problem, config)
             result.trials.append(TrialRecord(
                 trial=t,
                 method=method,

@@ -8,6 +8,7 @@ CPU.
 """
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -15,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .analysis import gram_extreme_eigenvalues, gram_matrix
 from .exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
-from .linalg import matvec, transpose_matvec
+from .linalg import column_norms_sq, matvec, transpose_matvec
 from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
 
 # Added to a base seed to draw right-hand sides from a stream independent
@@ -32,8 +33,11 @@ class LsqProblem:
 
     Any 2-D array-like or scipy sparse matrix is stored as column-major
     float64 or canonical CSC, rhs and the known solution as float64
-    vectors of matching length.  Frozen; ``dataclasses.replace`` coerces
-    again.  ``density`` is derived from the stored matrix.
+    vectors of matching length.  Frozen, and its arrays must not be
+    written to after construction: the views below are computed from
+    them on first use and kept.  ``dataclasses.replace`` coerces again
+    and starts with no cached views.  ``density`` is derived from the
+    stored matrix.
     """
 
     matrix: object
@@ -49,6 +53,24 @@ class LsqProblem:
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution", as_vector(
                 self.known_solution, size=A.shape[1], name="known_solution"))
+
+    # Read-only views, each computed on first use and kept with the problem.
+    @cached_property
+    def column_norms_sq(self):
+        return _read_only(column_norms_sq(self.matrix))
+
+    @cached_property
+    def atb(self):
+        return _read_only(transpose_matvec(self.matrix, self.rhs))
+
+    @cached_property
+    def gram(self):
+        return _read_only(gram_matrix(self.matrix))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def matrix_density(A):
@@ -93,11 +115,13 @@ def make_inconsistent(A, seed):
         raise NullSpaceEmpty(f"an inconsistent problem needs m > n, got a {m} x {n} matrix")
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(n)
-    gram, lower = _gram_factor(A)
+    G = _read_only(gram_matrix(A))
+    factor = _gram_factor(G)
     z = rng.standard_normal(m)
-    r0 = z - matvec(A, cho_solve((gram, lower), transpose_matvec(A, z)))
-
-    return LsqProblem(matrix=A, rhs=matvec(A, x_true) + r0, known_solution=x_true)
+    r0 = z - matvec(A, cho_solve(factor, transpose_matvec(A, z)))
+    problem = LsqProblem(matrix=A, rhs=matvec(A, x_true) + r0, known_solution=x_true)
+    vars(problem)["gram"] = G  # the slot of the cached view
+    return problem
 
 
 def synthesize_problem(A, seed, consistent):
@@ -108,8 +132,7 @@ def synthesize_problem(A, seed, consistent):
     return make(A, seed + RHS_SEED_OFFSET)
 
 
-def _gram_factor(A):
-    G = gram_matrix(A)
+def _gram_factor(G):
     gram_extreme_eigenvalues(G)  # the one rank test decides; cho_factor's own failure stays handled
     try:
         return cho_factor(G, lower=False)
@@ -123,13 +146,13 @@ def reference_solution(problem):
     to ||A^T b||.  Raises RankDeficient if A fails the rank test of
     gram_extreme_eigenvalues."""
     A = problem.matrix
-    rhs_n = transpose_matvec(A, problem.rhs)
-    gram, lower = _gram_factor(A)
-    x = cho_solve((gram, lower), rhs_n)
+    rhs_n = problem.atb
+    factor = _gram_factor(problem.gram)
+    x = cho_solve(factor, rhs_n)
     resid = rhs_n - transpose_matvec(A, matvec(A, x))
     scale = np.linalg.norm(rhs_n)
     if scale > 0.0 and np.linalg.norm(resid) > 1e-10 * scale:
-        x = x + cho_solve((gram, lower), resid)
+        x = x + cho_solve(factor, resid)
     return x
 
 

@@ -6,6 +6,8 @@ calls ggs_select, ggs_randomized_select, grcd_select or rgs_select.
 Each step moves x[j] by alpha = (A[:, j] . r) / ||A[:, j]||^2, which
 zeroes the gradient entry of column j.
 
+The column norms, A^T b and G = A^T A come from the problem's cached,
+read-only views (LsqProblem), so each is built at most once per problem.
 Only the method, the stopping rule and gram_fits choose a solve's step
 path; a trace only observes.
 * Every method but rgs, and the gradient stopping rule, need the
@@ -15,7 +17,7 @@ path; a trace only observes.
   (GRADIENT_FALL_REFRESH, GRADIENT_ROUNDING_LEVEL), and before a
   gradient stop, so no stop rests on accumulated rounding.
 * rgs with a known solution takes its first n steps on the residual r,
-  then builds G and steps in the dot form
+  then reads G and steps in the dot form
   x[j] += ((A^T b)[j] - G[j] . x) / ||A[:, j]||^2, keeping x only.
 * When G does not fit, the loop keeps x and r and recomputes A^T r
   after every step that needs it.
@@ -30,12 +32,10 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import gram_matrix
 from .exceptions import AllZeroGradient, NonFiniteValue, RankDeficient, ZeroColumn
 from .linalg import (
     axpy_column,
     column_dot,
-    column_norms_sq,
     energy_error_sq,
     matvec,
     transpose_matvec,
@@ -355,7 +355,7 @@ def _relative_drift(diff, ref):
             / float(np.linalg.norm(_unit_scaled(ref, ref_max))))
 
 
-def solve(problem, config, gram=None):
+def solve(problem, config):
     """Run the configured method on a least-squares problem from x = 0.
 
     Stops when the squared relative solution error reaches
@@ -366,18 +366,17 @@ def solve(problem, config, gram=None):
 
     Args:
         problem: an LsqProblem, whose construction checked its inputs.
+            The solve reads its column norms, A^T b and G from the
+            problem's cached views, and its elapsed time includes the
+            building of those it is the first to read.  A later solve of
+            the same problem gives the same report in every bit.
         config: a SolverConfig.
-        gram: None, or gram_matrix(problem.matrix), which the solve then
-            uses where it would build G, with the same report in every
-            bit; it is only read.  When no G fits (gram_fits), a passed
-            gram is ignored.
 
     Returns:
         SolveReport with the solution, iteration count, stop reason,
         elapsed wall time and (optionally) the per-iteration trace.
 
     Raises:
-        ValueError: if gram is neither None nor an (n, n) float64 ndarray.
         NonFiniteValue: if A (through its squared column norms), b, the
             known solution, A^T b (when the solve needs the gradient) or
             ||A^T b||^2 is not finite, if the gradient rule's threshold
@@ -393,9 +392,6 @@ def solve(problem, config, gram=None):
     """
     A, b, x_star = problem.matrix, problem.rhs, problem.known_solution
     n = A.shape[1]
-    if gram is not None and not (isinstance(gram, np.ndarray) and gram.shape == (n, n)
-                                 and gram.dtype == np.float64):
-        raise ValueError(f"gram must be an ({n}, {n}) float64 ndarray, gram_matrix(problem.matrix)")
 
     method = config.method
     rng = np.random.default_rng(config.seed) if method is not Method.GGS else None
@@ -403,7 +399,7 @@ def solve(problem, config, gram=None):
     tol = config.res_tolerance
 
     t_start = time.perf_counter()
-    col_norms = column_norms_sq(A)
+    col_norms = problem.column_norms_sq
     # select(s) -> (chosen index, member array, grcd threshold or None) calls
     # its rule through the module attribute, so a wrapper there sees each call.
     if method is Method.RGS:
@@ -460,13 +456,13 @@ def solve(problem, config, gram=None):
 
     s = None
     if need_gradient:
-        s = transpose_matvec(A, r)
-        if not np.isfinite(s).all():
+        # s starts as A^T b, its drift reference.  max|s| at the start and at
+        # its last fresh computation is what the refresh triggers compare,
+        # rather than ||s||^2, which overflows long before s does.
+        atb = problem.atb
+        if not np.isfinite(atb).all():
             raise NonFiniteValue("A^T b has a NaN or infinite entry at iteration 0")
-        # s's drift reference A^T b, and max|s| at the start and at its last
-        # fresh computation, which the refresh triggers compare rather than
-        # ||s||^2, which overflows long before s does.
-        atb = s.copy()
+        s = atb.copy()
         s_max0 = s_max_fresh = float(np.abs(s).max())
     grad0_sq = None
     if not use_res_stop:
@@ -479,11 +475,11 @@ def solve(problem, config, gram=None):
             raise NonFiniteValue(
                 f"the gradient rule's threshold tol * ||A^T b||^2 = {tol * grad0_sq:.3e} "
                 "underflows below the normal float range though A^T b is nonzero")
-    # G is built, or the passed gram taken, just before step gram_step, if
-    # it fits.  Without the gradient (rgs with a known solution) the first
-    # n steps run on the residual, at two column passes each.  Building G
-    # takes roughly as long as n such steps, so a solve shorter than that
-    # never pays for G, and a longer one pays for it once.
+    # G is read from the problem just before step gram_step, if it fits.
+    # Without the gradient (rgs with a known solution) the first n steps
+    # run on the residual, at two column passes each.  Building G takes
+    # roughly as long as n such steps, so a solve shorter than that never
+    # builds G, and a longer one builds it at most once per problem.
     G = None
     gram_step = None
     if gram_fits(A):
@@ -580,8 +576,8 @@ def solve(problem, config, gram=None):
             if not need_gradient:
                 # The residual's drift is measured once more; r is then unused.
                 max_drift = max(max_drift, drift())
-                atb = transpose_matvec(A, b)
-            G = gram_matrix(A) if gram is None else gram
+                atb = problem.atb
+            G = problem.gram
 
         if estimate:
             d = x.item(j) * scale - x_star_entries[j]

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+import importlib
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy import sparse
+
+import greedylsq
 
 # Property-test depth: 40 examples per test by default, 1,500 with
 # ``pytest --hypothesis-profile=thorough``.
@@ -30,6 +34,35 @@ def report_digest(report):
     for record in report.trace or ():
         digest.update(repr(dataclasses.astuple(record)).encode())
     return digest.hexdigest()[:16]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)`` wraps the greedylsq function ``name`` at every
+    module attribute that holds it, as perfbench/tracer.py wraps a traced
+    name, and returns a list that grows by one entry per call: its
+    positional arguments."""
+    modules = [greedylsq] + [importlib.import_module(f"greedylsq.{info.name}")
+                             for info in pkgutil.iter_modules(greedylsq.__path__)
+                             if info.name != "__main__"]
+
+    def count(name):
+        # The module that defines the function holds the original.
+        original = next(getattr(m, name) for m in modules
+                        if getattr(getattr(m, name, None), "__module__", None) == m.__name__)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture

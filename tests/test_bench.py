@@ -119,16 +119,6 @@ def test_failed_trials_excluded_with_warning():
     assert Method.GGS not in result.mean_it
 
 
-def _count_gram_builds(monkeypatch):
-    """Count gram_matrix calls through bench's and solvers' module attributes."""
-    calls = []
-    for module in (bench, solvers):
-        original = module.gram_matrix
-        monkeypatch.setattr(module, "gram_matrix",
-                            lambda A, original=original: calls.append(1) or original(A))
-    return calls
-
-
 def _check_records_equal_plain_solves(spec, result):
     """Every record's counts and final_res equal a plain solve of its trial's problem."""
     for rec in result.trials:
@@ -140,10 +130,10 @@ def _check_records_equal_plain_solves(spec, result):
                (report.iterations, report.stop_reason, report.final_res.hex())
 
 
-def test_each_trial_builds_one_gram_matrix_for_all_its_methods(monkeypatch):
+def test_each_trial_builds_one_gram_matrix_for_all_its_methods(count_calls):
     spec = ExperimentSpec(problem=random_entry(m=200, n=10), methods=["ggs", "grcd", "rgs"],
                           repeats=3, base_seed=6)
-    grams = _count_gram_builds(monkeypatch)
+    grams = count_calls("gram_matrix")
     result = run_experiment(spec)
     assert len(grams) == 3
     # Solved one by one, the same trials build a G per solve: rgs runs
@@ -153,7 +143,7 @@ def test_each_trial_builds_one_gram_matrix_for_all_its_methods(monkeypatch):
     assert len(grams) == 9
 
 
-def test_a_trial_whose_gram_matrix_does_not_fit_builds_none(monkeypatch, tmp_path):
+def test_a_trial_whose_gram_matrix_does_not_fit_builds_none(monkeypatch, count_calls, tmp_path):
     rng = np.random.default_rng(91)
     D = rng.standard_normal((300, 60))
     D[rng.random((300, 60)) > 0.05] = 0.0
@@ -163,10 +153,21 @@ def test_a_trial_whose_gram_matrix_does_not_fit_builds_none(monkeypatch, tmp_pat
     spec = ExperimentSpec(problem=entry, methods=["ggs", "grcd", "rgs"], repeats=2, base_seed=6)
     monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
     assert not solvers.gram_fits(build_trial_problem(entry, spec.base_seed, 0).matrix)
-    grams = _count_gram_builds(monkeypatch)
+    grams = count_calls("gram_matrix")
     result = run_experiment(spec)
     assert len(grams) == 0
     _check_records_equal_plain_solves(spec, result)
+
+
+def test_every_solve_finds_its_problems_views_built(monkeypatch):
+    # So no solve's time includes the column norms, A^T b or G.
+    found = []
+    monkeypatch.setattr(bench, "solve", lambda problem, config:
+                        found.append(set(vars(problem))) or solve(problem, config))
+    spec = ExperimentSpec(problem=random_entry(m=200, n=10), methods=list(Method), repeats=2)
+    run_experiment(spec)
+    assert len(found) == 8
+    assert all({"column_norms_sq", "atb", "gram"} <= names for names in found)
 
 
 # report_digest of each solve of a 3-trial run on a 200x10 file row, in
@@ -187,7 +188,7 @@ FILE_ROW_REPORT_PINS = {
 
 
 @pytest.mark.parametrize("consistency", sorted(FILE_ROW_REPORT_PINS))
-def test_a_file_row_is_built_once_per_run(monkeypatch, tmp_path, consistency):
+def test_a_file_row_is_built_once_per_run(monkeypatch, count_calls, tmp_path, consistency):
     path = tmp_path / "m.mtx"
     save_matrix_market(gen_gaussian(200, 10, 93), path)
     builds = {"load_matrix_market": [], "synthesize_problem": []}
@@ -195,7 +196,7 @@ def test_a_file_row_is_built_once_per_run(monkeypatch, tmp_path, consistency):
         original = getattr(bench, name)
         monkeypatch.setattr(bench, name, lambda *a, original=original, calls=calls:
                             calls.append(1) or original(*a))
-    builds["gram_matrix"] = _count_gram_builds(monkeypatch)
+    builds["gram_matrix"] = count_calls("gram_matrix")
     reports = []
     monkeypatch.setattr(bench, "solve", lambda *a, **k: reports.append(solve(*a, **k)) or reports[-1])
     entry = ManifestEntry(label="f", kind="file", path=str(path), consistent=consistency == "consistent")

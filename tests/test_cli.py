@@ -379,6 +379,14 @@ def test_verify_bounds_inconsistent_problem(capsys):
     assert lines["per_step_violations"] == "0"
 
 
+def test_verify_bounds_inconsistent_builds_the_gram_matrix_twice(count_calls, capsys):
+    # make_inconsistent's G serves the solve; lambda_min_pos builds its own.
+    grams, eigs = count_calls("gram_matrix"), count_calls("jacobi_eigenvalues")
+    code, _, _ = run_cli(capsys, "verify-bounds", "--random", "60", "6", "2", "--inconsistent")
+    assert code == 0
+    assert (len(grams), len(eigs)) == (2, 2)
+
+
 def test_bench_exits_1_when_trials_hit_the_cap(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("row random:40x4 consistent\n")

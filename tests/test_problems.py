@@ -9,6 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 from conftest import data_path
 
 from greedylsq import problems
+from greedylsq.analysis import gram_matrix
 from greedylsq.estimators import GreedyGaussSeidel
 from greedylsq.exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from greedylsq.linalg import column_norms_sq, matvec, transpose_matvec
@@ -107,6 +108,45 @@ def test_make_inconsistent_single_column_direction():
     problem = make_inconsistent(A, seed=4)
     r0 = problem.rhs - matvec(A, problem.known_solution)
     assert abs(r0[0] + r0[1]) <= 1e-12 * np.linalg.norm(r0)
+
+
+VIEWS = ("column_norms_sq", "atb", "gram")
+
+
+@pytest.mark.parametrize("storage", [np.asfortranarray, sparse.csc_array])
+def test_views_equal_their_functions_and_refuse_writes(storage):
+    problem = make_consistent(storage(gen_gaussian(30, 4, seed=5)), seed=6)
+    A = problem.matrix
+    expected = (column_norms_sq(A), transpose_matvec(A, problem.rhs), gram_matrix(A))
+    for name, want in zip(VIEWS, expected):
+        view = getattr(problem, name)
+        assert getattr(problem, name) is view
+        assert view.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            view *= 2.0
+        assert view.tobytes() == want.tobytes()
+
+
+def test_replace_starts_with_no_cached_views():
+    problem = make_inconsistent(gen_gaussian(30, 4, seed=5), seed=6)
+    for name in VIEWS:
+        getattr(problem, name)
+    for copy in (dataclasses.replace(problem), dataclasses.replace(problem, known_solution=None)):
+        assert not set(VIEWS) & set(vars(copy))
+        assert copy.gram is not problem.gram
+
+
+@pytest.mark.parametrize("storage", [np.asfortranarray, sparse.csc_array])
+def test_make_inconsistent_hands_its_gram_matrix_to_the_problem(count_calls, storage):
+    A = storage(gen_gaussian(40, 5, seed=7))
+    problem = make_inconsistent(A, seed=8)
+    assert vars(problem)["gram"].tobytes() == gram_matrix(problem.matrix).tobytes()
+    assert not problem.gram.flags.writeable
+    builds = count_calls("gram_matrix")
+    reference_solution(problem)
+    assert not builds
 
 
 def test_make_inconsistent_square_invertible_raises():

@@ -9,7 +9,7 @@ from scipy import sparse
 from conftest import report_digest
 from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_rgs_select
 
-from greedylsq import solvers
+from greedylsq import problems, solvers
 from greedylsq.analysis import gram_matrix
 from greedylsq.exceptions import (
     AllZeroGradient,
@@ -583,12 +583,12 @@ FEWER_ROWS_GRADIENT_STOPS = {
 @pytest.mark.parametrize("storage", ["dense", "csc"])
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_fewer_rows_than_columns_with_known_solution_raises_before_the_first_step(
-        monkeypatch, method, storage):
+        count_calls, method, storage):
     problem = fewer_rows_than_columns()
     if storage == "csc":
         problem = dataclasses.replace(problem, matrix=sparse.csc_array(problem.matrix))
-    grams = _count_calls(monkeypatch, "gram_matrix")
-    selections = _count_calls(monkeypatch, "rgs_select" if method is Method.RGS else "ggs_select")
+    grams = count_calls("gram_matrix")
+    selections = count_calls("rgs_select" if method is Method.RGS else "ggs_select")
     with pytest.raises(RankDeficient) as raised:
         solve(problem, SolverConfig(method=method, seed=4))
     assert str(raised.value) == (
@@ -691,19 +691,6 @@ def test_residual_drift_at_a_zero_rhs_is_the_absolute_drift(storage):
 # incremental gradient: cost and honesty
 # ---------------------------------------------------------------------------
 
-def _count_calls(monkeypatch, name):
-    """Count the calls solve makes to the solvers-module function ``name``."""
-    original = getattr(solvers, name)
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(solvers, name, counted)
-    return calls
-
-
 def _sparse_problem():
     """A consistent 400x100 CSC problem whose 1.9k stored entries take
     fewer bytes than its dense 100x100 Gram matrix."""
@@ -713,10 +700,10 @@ def _sparse_problem():
     return make_consistent(sparse.csc_array(D), seed=72)
 
 
-def test_gradient_stop_computes_the_initial_gradient_once(monkeypatch):
+def test_gradient_stop_computes_the_initial_gradient_once(monkeypatch, count_calls):
     A = gen_gaussian(200, 20, seed=12)
     problem = LsqProblem(matrix=A, rhs=make_inconsistent(A, seed=13).rhs)
-    calls = _count_calls(monkeypatch, "transpose_matvec")
+    calls = count_calls("transpose_matvec")
     report = solve(problem, SolverConfig(method=Method.GGS))
     assert report.stop_reason is StopReason.GRADIENT_REACHED and report.iterations > 50
     # One for the initial gradient, which also gives ||A^T b||^2, and one
@@ -734,10 +721,10 @@ def test_gradient_stop_computes_the_initial_gradient_once(monkeypatch):
 
 
 @pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED, Method.GRCD])
-def test_greedy_solve_computes_the_gradient_once(monkeypatch, method):
+def test_greedy_solve_computes_the_gradient_once(count_calls, method):
     problem = make_consistent(gen_gaussian(200, 20, seed=12), seed=13)
-    calls = _count_calls(monkeypatch, "transpose_matvec")
-    grams = _count_calls(monkeypatch, "gram_matrix")
+    calls = count_calls("transpose_matvec")
+    grams = count_calls("gram_matrix")
     report = solve(problem, SolverConfig(method=method, seed=1))
     assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 50
     assert (len(calls), len(grams)) == (1, 1)
@@ -750,11 +737,11 @@ def _dense_or_sparse_problem(storage):
 
 
 @pytest.mark.parametrize("storage", ["dense", "csc"])
-def test_rgs_with_known_solution_builds_the_gram_matrix_after_n_residual_steps(monkeypatch, storage):
+def test_rgs_with_known_solution_builds_the_gram_matrix_after_n_residual_steps(count_calls, storage):
     problem = _dense_or_sparse_problem(storage)
     n = problem.matrix.shape[1]
     names = ("gram_matrix", "step", "transpose_matvec")
-    calls = {name: _count_calls(monkeypatch, name) for name in names}
+    calls = {name: count_calls(name) for name in names}
 
     def counts(max_iterations):
         for c in calls.values():
@@ -774,10 +761,10 @@ def test_rgs_with_known_solution_builds_the_gram_matrix_after_n_residual_steps(m
     assert made == {"gram_matrix": 1, "step": n, "transpose_matvec": 1}
 
 
-def test_rgs_without_the_gram_budget_steps_on_the_residual(monkeypatch):
+def test_rgs_without_the_gram_budget_steps_on_the_residual(monkeypatch, count_calls):
     monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
     names = ("gram_matrix", "step", "transpose_matvec")
-    calls = {name: _count_calls(monkeypatch, name) for name in names}
+    calls = {name: count_calls(name) for name in names}
     report = solve(_sparse_problem(), SolverConfig(method=Method.RGS, seed=1))
     assert report.stop_reason is StopReason.RES_REACHED and report.iterations > 200
     assert {name: len(c) for name, c in calls.items()} == \
@@ -810,26 +797,27 @@ def test_rgs_reports_the_residual_drift_measured_when_it_builds_the_gram_matrix(
 
 
 @pytest.mark.parametrize("method", list(Method))
-def test_solve_that_stops_before_any_step_builds_no_gram_matrix(monkeypatch, method):
+def test_solve_that_stops_before_any_step_builds_no_gram_matrix(count_calls, method):
     # b is orthogonal to every column, so A^T b = 0 exactly and the
     # gradient stop holds at iteration 0.
     A = np.vstack([gen_gaussian(50, 5, seed=3), np.zeros((50, 5))])
     b = np.concatenate([np.zeros(50), np.ones(50)])
-    grams = _count_calls(monkeypatch, "gram_matrix")
+    grams = count_calls("gram_matrix")
     report = solve(LsqProblem(matrix=A, rhs=b), SolverConfig(method=method, seed=1))
     assert (report.iterations, report.stop_reason) == (0, StopReason.GRADIENT_REACHED)
     assert len(grams) == 0
 
 
 @pytest.mark.parametrize("method", list(Method))
-def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, method):
+def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, count_calls, method):
     problem = _sparse_problem()
     config = SolverConfig(method=method, seed=1, record_trace=True)
     incremental = solve(problem, config)
-    grams = _count_calls(monkeypatch, "gram_matrix")
-    calls = _count_calls(monkeypatch, "transpose_matvec")
+    grams = count_calls("gram_matrix")
+    calls = count_calls("transpose_matvec")
     monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
-    per_step = solve(problem, config)
+    # A fresh copy of the problem computes its own A^T b.
+    per_step = solve(dataclasses.replace(problem), config)
     assert len(grams) == 0 and len(calls) == per_step.iterations + 1
     assert (per_step.iterations, per_step.stop_reason) == \
            (incremental.iterations, incremental.stop_reason)
@@ -843,7 +831,7 @@ def test_per_step_gradient_path_makes_the_same_selections(monkeypatch, method):
 @pytest.mark.parametrize("storage", ["dense", "csc"])
 @pytest.mark.parametrize("known", [True, False])
 @pytest.mark.parametrize("method", list(Method))
-def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, storage):
+def test_gram_path_makes_no_per_step_residual_work(count_calls, method, known, storage):
     # rgs with a known solution takes its first n steps on the residual,
     # traced or not (here the known solution comes with a trace), and the
     # rest on G.
@@ -851,7 +839,7 @@ def test_gram_path_makes_no_per_step_residual_work(monkeypatch, method, known, s
     if not known:
         problem = LsqProblem(matrix=problem.matrix, rhs=problem.rhs)
     names = ("gram_matrix", "step", "column_dot", "axpy_column")
-    calls = {name: _count_calls(monkeypatch, name) for name in names}
+    calls = {name: count_calls(name) for name in names}
     report = solve(problem, SolverConfig(method=method, seed=1, record_trace=known))
     assert report.iterations > 50
     residual_steps = problem.matrix.shape[1] if method is Method.RGS and known else 0
@@ -892,7 +880,7 @@ def test_gradient_stop_holds_for_a_fresh_gradient(method):
 
 
 # ---------------------------------------------------------------------------
-# a Gram matrix passed in
+# the problem's cached views
 # ---------------------------------------------------------------------------
 
 def _full_report(report):
@@ -906,55 +894,45 @@ def _full_report(report):
 @pytest.mark.parametrize("stop", ["res", "gradient"])
 @pytest.mark.parametrize("storage", ["dense", "csc"])
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_a_passed_gram_matrix_changes_no_bit_of_the_report(monkeypatch, method, storage, stop,
-                                                            traced):
+def test_solving_a_problem_again_changes_no_bit_of_the_report(count_calls, method, storage, stop,
+                                                              traced):
     problem = _dense_or_sparse_problem(storage)
     if stop == "gradient":
         problem = dataclasses.replace(problem, known_solution=None)
     n = problem.matrix.shape[1]
     config = SolverConfig(method=method, seed=1, record_trace=traced)
-    gram = gram_matrix(problem.matrix)
-    untouched = gram.copy()
-    steps = _count_calls(monkeypatch, "step")
-    built = solve(problem, config)
-    built_steps = len(steps)
-    grams = _count_calls(monkeypatch, "gram_matrix")
-    steps.clear()
-    passed = solve(problem, config, gram=gram)
-    assert _full_report(passed) == _full_report(built)
-    assert len(grams) == 0 and np.array_equal(gram, untouched)
-    # rgs with a known solution still takes its first n steps on the
-    # residual, then takes up the passed G; the rest step on G alone.
-    assert len(steps) == built_steps == (n if method is Method.RGS and stop == "res" else 0)
-    assert passed.iterations > n
-
-
-@pytest.mark.parametrize("storage", ["dense", "csc"])
-def test_a_gram_matrix_that_is_not_n_by_n_float64_is_refused_before_any_step(monkeypatch,
-                                                                              storage):
-    problem = _dense_or_sparse_problem(storage)
-    n = problem.matrix.shape[1]
-    G = gram_matrix(problem.matrix)
-    norms = _count_calls(monkeypatch, "column_norms_sq")
-    for bad in (G.tolist(), G.astype(np.float32), G.astype(np.int64), G[:-1, :-1], G.ravel(),
-                np.zeros((n, n + 1)), sparse.csc_array(G), 1.0):
-        with pytest.raises(ValueError, match=rf"gram must be an \({n}, {n}\) float64 ndarray"):
-            solve(problem, SolverConfig(), gram=bad)
-    assert len(norms) == 0
+    fresh = _full_report(solve(dataclasses.replace(problem), config))
+    names = ("gram_matrix", "column_norms_sq", "transpose_matvec", "step")
+    calls = {name: count_calls(name) for name in names}
+    # Another method's solve first, then this one twice, all on one object.
+    other = Method.RGS if method is Method.GGS else Method.GGS
+    solve(problem, dataclasses.replace(config, method=other))
+    for _ in range(2):
+        calls["step"].clear()
+        report = solve(problem, config)
+        assert _full_report(report) == fresh
+        # rgs with a known solution still takes its first n steps on the
+        # residual, then reads G; the rest step on G alone.
+        assert len(calls["step"]) == (n if method is Method.RGS and stop == "res" else 0)
+        assert report.iterations > n
+    # Three solves build G, the column norms and A^T b once each.
+    atb_builds = [args for args in calls["transpose_matvec"] if args[1] is problem.rhs]
+    assert (len(calls["gram_matrix"]), len(calls["column_norms_sq"]), len(atb_builds)) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_a_passed_gram_matrix_over_the_budget_is_ignored(monkeypatch, method):
+def test_a_gram_matrix_cached_while_it_fit_goes_unused_over_the_budget(monkeypatch, count_calls,
+                                                                       method):
     problem = _sparse_problem()
-    gram = gram_matrix(problem.matrix)
+    problem.gram
     monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
     assert not solvers.gram_fits(problem.matrix)
     config = SolverConfig(method=method, seed=1)
-    steps = _count_calls(monkeypatch, "step")
-    passed = solve(problem, config, gram=gram)
-    # The residual loop throughout, as without a gram.
-    assert len(steps) == passed.iterations > 0
-    assert _full_report(passed) == _full_report(solve(problem, config))
+    steps = count_calls("step")
+    cached = solve(problem, config)
+    # The residual loop throughout, as on a problem that never built G.
+    assert len(steps) == cached.iterations > 0
+    assert _full_report(cached) == _full_report(solve(dataclasses.replace(problem), config))
 
 
 # ---------------------------------------------------------------------------
@@ -968,8 +946,8 @@ def _untraced_fields(report):
 
 
 @pytest.mark.parametrize("stop", ["consistent", "inconsistent", "gradient-stop"])
-@pytest.mark.parametrize("storage, gram", [("dense", "built"), ("dense", "passed"),
-                                           ("csc", "built"), ("csc", "passed"),
+@pytest.mark.parametrize("storage, gram", [("dense", "built"), ("dense", "cached"),
+                                           ("csc", "built"), ("csc", "cached"),
                                            ("csc", "over-budget")])
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_a_trace_changes_no_bit_of_the_rest_of_the_report(monkeypatch, method, storage, gram,
@@ -986,9 +964,11 @@ def test_a_trace_changes_no_bit_of_the_rest_of_the_report(monkeypatch, method, s
     if gram == "over-budget":
         monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
         assert not solvers.gram_fits(problem.matrix)
-    passed = gram_matrix(problem.matrix) if gram == "passed" else None
-    untraced, traced = (solve(problem, SolverConfig(method=method, seed=2, record_trace=record),
-                              gram=passed)
+    if gram == "cached":
+        problem.gram
+    # "built": each solve builds the problem's views anew.
+    untraced, traced = (solve(problem if gram == "cached" else dataclasses.replace(problem),
+                              SolverConfig(method=method, seed=2, record_trace=record))
                         for record in (False, True))
     assert untraced.iterations > problem.matrix.shape[1]
     assert _untraced_fields(traced) == _untraced_fields(untraced)
@@ -1034,16 +1014,22 @@ def test_an_all_zero_known_solution_is_no_known_solution(method, storage):
 
 @pytest.mark.parametrize("method", [Method.GGS, Method.GGS_RANDOMIZED, Method.GRCD],
                          ids=lambda m: m.value)
-def test_a_nan_gradient_mid_run_raises_non_finite_value(method):
-    # A NaN in the passed G reaches s at the first step on its row; the
+def test_a_nan_gradient_mid_run_raises_non_finite_value(monkeypatch, method):
+    # A NaN in the problem's G reaches s at the first step on its row; the
     # untraced res stop does not look at s, so the selection meets it.
     problem = _dense_or_sparse_problem("dense")
     config = SolverConfig(method=method, seed=1)
-    first = solve(problem, dataclasses.replace(config, max_iterations=1, record_trace=True))
-    gram = gram_matrix(problem.matrix)
-    gram[first.trace[0].chosen_index, 5] = np.nan
+    first = solve(dataclasses.replace(problem),
+                  dataclasses.replace(config, max_iterations=1, record_trace=True))
+
+    def gram_with_a_nan(A):
+        G = gram_matrix(A)
+        G[first.trace[0].chosen_index, 5] = np.nan
+        return G
+
+    monkeypatch.setattr(problems, "gram_matrix", gram_with_a_nan)
     with pytest.raises(NonFiniteValue, match=r"the gradient has a NaN or infinite entry"):
-        solve(problem, config, gram=gram)
+        solve(problem, config)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1090,7 @@ def test_non_finite_error_names_the_quantity():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("storage", ["dense", "csc"])
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_overflowing_atb_raises_non_finite_value(monkeypatch, method, storage):
+def test_overflowing_atb_raises_non_finite_value(count_calls, method, storage):
     # A, b and x* are finite, but A^T b overflows, to NaN where +inf and
     # -inf terms meet; the greedy selections used to meet that NaN and
     # raise a bare ValueError.
@@ -1112,7 +1098,7 @@ def test_overflowing_atb_raises_non_finite_value(monkeypatch, method, storage):
     x_star = np.full(3, 1e160)
     matrix = A if storage == "dense" else sparse.csc_array(A)
     problem = LsqProblem(matrix=matrix, rhs=A @ x_star, known_solution=x_star)
-    selections = _count_calls(monkeypatch, {
+    selections = count_calls({
         Method.GGS: "ggs_select", Method.GGS_RANDOMIZED: "ggs_randomized_select",
         Method.GRCD: "grcd_select", Method.RGS: "rgs_select"}[method])
     with pytest.raises(NonFiniteValue) as raised:
@@ -1297,9 +1283,9 @@ GRCD_PINNED = {
 
 @pytest.mark.parametrize("case", ["gradient-stop", "zero-column"])
 @pytest.mark.parametrize("storage", ["dense", "csc"])
-def test_grcd_reports_are_bit_identical_to_the_untrimmed_selection(monkeypatch, storage, case):
+def test_grcd_reports_are_bit_identical_to_the_untrimmed_selection(count_calls, storage, case):
     problem = _grcd_problem(storage, zero_column=case == "zero-column")
-    calls = _count_calls(monkeypatch, "grcd_select")
+    calls = count_calls("grcd_select")
     for tol, pinned in zip([1e-6, 1e-12], GRCD_PINNED[storage, case]):
         calls.clear()
         report = solve(problem, SolverConfig(method=Method.GRCD, seed=3, res_tolerance=tol))
@@ -1378,7 +1364,7 @@ def test_nan_mid_run_raises_at_the_iteration_a_res_check_at_every_step_does(monk
         G[poisoned, 3] = np.nan
         return G
 
-    monkeypatch.setattr(solvers, "gram_matrix", gram_with_a_nan_row)
+    monkeypatch.setattr(problems, "gram_matrix", gram_with_a_nan_row)
     config = SolverConfig(method=Method.RGS, seed=4)
     outcome = _outcome(problem, config)
     # rgs steps on G from step n on; x turns NaN at its first step on the
@@ -1390,9 +1376,9 @@ def test_nan_mid_run_raises_at_the_iteration_a_res_check_at_every_step_does(monk
     assert outcome == _outcome_with_res_at_every_step(monkeypatch, problem, config)
 
 
-def test_rgs_computes_res_fresh_on_few_steps(monkeypatch):
+def test_rgs_computes_res_fresh_on_few_steps(count_calls):
     problem = _pinned_rgs_problem("dense")
-    calls = _count_calls(monkeypatch, "_scaled_error_sq")
+    calls = count_calls("_scaled_error_sq")
     for seed in range(5):
         calls.clear()
         report = solve(problem, SolverConfig(method=Method.RGS, seed=seed))
@@ -1401,9 +1387,9 @@ def test_rgs_computes_res_fresh_on_few_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_traced_solve_computes_res_fresh_at_every_iterate(monkeypatch, method):
+def test_traced_solve_computes_res_fresh_at_every_iterate(count_calls, method):
     problem = _pinned_rgs_problem("dense")
-    calls = _count_calls(monkeypatch, "_scaled_error_sq")
+    calls = count_calls("_scaled_error_sq")
     report = solve(problem, SolverConfig(method=method, seed=0, record_trace=True))
     assert len(calls) == report.iterations + 1
 
@@ -1526,12 +1512,12 @@ GREEDY_REPORT_PINS = {
 }
 
 
-def test_greedy_reports_equal_their_pins_in_either_order(monkeypatch):
+def test_greedy_reports_equal_their_pins_in_either_order(monkeypatch, count_calls):
     # The second pass runs the grid backwards in the same process, so a
     # solve that kept |s|, or any other state, from the solve before it
     # would change a digest there.
     grid = _pinned_grid(("ggs", "ggs-random", "grcd"))
-    gradients = _count_calls(monkeypatch, "transpose_matvec")
+    gradients = count_calls("transpose_matvec")
     fresh = {}
     for order in (grid, grid[::-1]):
         digests = {}
@@ -1618,9 +1604,9 @@ OVER_BUDGET_REPORT_PINS = {
 }
 
 
-def test_over_budget_reports_equal_their_pins(monkeypatch):
+def test_over_budget_reports_equal_their_pins(monkeypatch, count_calls):
     monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 0)
-    grams = _count_calls(monkeypatch, "gram_matrix")
+    grams = count_calls("gram_matrix")
     grid = _over_budget_grid()
     assert not any(solvers.gram_fits(problem.matrix) for _, problem, _ in grid)
     assert {key: report_digest(solve(problem, config))
