@@ -10,7 +10,7 @@ constant across trials while the randomized ones still vary.
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .problems import ManifestEntry, gen_gaussian, load_matrix_market, synthesize_problem
 from .solvers import Method, SolverConfig, StopReason, gram_fits, solve
@@ -72,7 +72,7 @@ def build_trial_problem(entry, base_seed, trial):
     return synthesize_problem(A, seed, entry.consistent)
 
 
-def run_experiment(spec):
+def run_experiment(spec, curve_path=None):
     """Run every method of the spec over ``repeats`` trials and average.
 
     Each trial of a random row, and once per run a file row, builds one
@@ -82,6 +82,12 @@ def run_experiment(spec):
     trial index.  Trials that hit the iteration cap are left out of the
     averages with a warning.  Times cover each solve, not the problem or
     its views, so no solve pays the first touch of the matrix.
+
+    With a ``curve_path``, trial 0 of the first method is solved once
+    more with a trace, on the same problem and views, and its
+    convergence curve is written there (emit_convergence_curve).  That
+    solve is untimed and left out of the trials: with a known solution a
+    trace adds an O(mn) product per step.
     """
     entry = spec.problem
     result = ExperimentResult(label=entry.label, methods=list(spec.methods))
@@ -109,6 +115,9 @@ def run_experiment(spec):
                 stop_reason=report.stop_reason,
                 final_res=report.final_res,
             ))
+        if t == 0 and curve_path is not None:
+            config = replace(config, method=spec.methods[0], record_trace=True)
+            emit_convergence_curve(solve(problem, config).trace, curve_path)
 
     for method in spec.methods:
         ok = [rec for rec in result.trials if rec.method is method and not rec.failed]

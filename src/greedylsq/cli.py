@@ -11,7 +11,7 @@ import sys
 import warnings
 
 from .analysis import grcd_expected_factor, lambda_min_pos, verify_trace
-from .bench import ExperimentSpec, build_trial_problem, emit_convergence_curve, emit_table, run_experiment
+from .bench import ExperimentSpec, emit_convergence_curve, emit_table, run_experiment
 from .exceptions import GreedyLsqError, ParseError, RankDeficient
 from .problems import (
     LsqProblem,
@@ -210,12 +210,13 @@ def cmd_bench(args, parser):
             res_tolerance=args.tol,
             max_iterations=args.max_iters,
         )
+        safe_label = "".join(c if c.isalnum() or c in "-_." else "_" for c in entry.label)
         try:
             # A trial that hits the cap is a warning to library callers and
             # one line here.
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
-                result = run_experiment(spec)
+                result = run_experiment(spec, os.path.join(args.out, f"curve_{safe_label}.csv"))
         except (GreedyLsqError, OSError) as exc:
             print(f"greedylsq: experiment {entry.label!r} failed: {exc}", file=sys.stderr)
             any_failed = True
@@ -225,7 +226,6 @@ def cmd_bench(args, parser):
         if result.failed_trials:
             any_failed = True
         results.append(result)
-        _write_curve(entry, spec, args.out)
 
     table = emit_table(results, fmt=args.format)
     suffix = "csv" if args.format == "csv" else "md"
@@ -235,21 +235,6 @@ def cmd_bench(args, parser):
     print(table, end="")
     print(f"table: {table_path}", file=sys.stderr)
     return EXIT_ERROR if any_failed else EXIT_OK
-
-
-def _write_curve(entry, spec, out_dir):
-    """Trace trial 0 of the first method for plotting."""
-    problem = build_trial_problem(entry, spec.base_seed, 0)
-    config = SolverConfig(
-        method=spec.methods[0],
-        max_iterations=spec.max_iterations,
-        res_tolerance=spec.res_tolerance,
-        seed=spec.base_seed,
-        record_trace=True,
-    )
-    report = solve(problem, config)
-    safe_label = "".join(c if c.isalnum() or c in "-_." else "_" for c in entry.label)
-    emit_convergence_curve(report.trace, os.path.join(out_dir, f"curve_{safe_label}.csv"))
 
 
 def cmd_verify_bounds(args, parser):

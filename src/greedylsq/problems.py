@@ -7,7 +7,7 @@ through BLAS, so it repeats bit for bit only on one numpy/BLAS build and
 CPU.
 """
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,8 +36,8 @@ class LsqProblem:
     vectors of matching length.  Frozen, and its arrays must not be
     written to after construction: the views below are computed from
     them on first use and kept.  ``dataclasses.replace`` coerces again
-    and starts with no cached views.  ``density`` is derived from the
-    stored matrix.
+    and starts with no cached views, as does a pickled or copied problem.
+    ``density`` is derived from the stored matrix.
     """
 
     matrix: object
@@ -53,6 +53,11 @@ class LsqProblem:
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution", as_vector(
                 self.known_solution, size=A.shape[1], name="known_solution"))
+
+    def __getstate__(self):
+        # A pickled or copied problem starts with no cached views, as
+        # dataclasses.replace does, so the views it builds are read-only.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # Read-only views, each computed on first use and kept with the problem.
     @cached_property
@@ -382,16 +387,21 @@ def load_manifest(path):
 
         label  random:MxN | file:PATH  consistent|inconsistent  [seed]
 
-    File paths are resolved relative to the manifest's directory.
+    Labels are unique.  File paths are resolved relative to the
+    manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
+    label_nos = {}
     lines, nos = _numbered_lines(path, "#")
     for no in nos:
         parts = lines[no - 1].split("#", 1)[0].split()
         if len(parts) not in (3, 4):
             raise ParseError("expected 'label matrix consistency [seed]'", no)
         label, matrix_spec, consistency = parts[0], parts[1], parts[2]
+        if label in label_nos:
+            raise ParseError(f"label {label!r} repeats the label of line {label_nos[label]}", no)
+        label_nos[label] = no
         if consistency not in ("consistent", "inconsistent"):
             raise ParseError(f"consistency must be consistent|inconsistent, got {consistency!r}", no)
         seed = None

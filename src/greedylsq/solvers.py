@@ -377,12 +377,13 @@ def solve(problem, config):
         elapsed wall time and (optionally) the per-iteration trace.
 
     Raises:
-        NonFiniteValue: if A (through its squared column norms), b, the
-            known solution, A^T b (when the solve needs the gradient) or
-            ||A^T b||^2 is not finite, if the gradient rule's threshold
-            res_tolerance * ||A^T b||^2 is below the normal float range
-            though A^T b is nonzero, or if the stop measure or the
-            gradient a selection reads stops being finite during the run.
+        NonFiniteValue: if A (through its squared column norms and their
+            sum ||A||_F^2), b, the known solution, A^T b (when the solve
+            needs the gradient) or ||A^T b||^2 is not finite, if the
+            gradient rule's threshold res_tolerance * ||A^T b||^2 is below
+            the normal float range though A^T b is nonzero, or if the stop
+            measure or the gradient a selection reads stops being finite
+            during the run.
         RankDeficient: with a known solution that is not the only
             least-squares solution.  Before the first step, if the known
             solution's share on zero columns, ||x*[zero]||^2 / ||x*||^2,
@@ -400,22 +401,24 @@ def solve(problem, config):
 
     t_start = time.perf_counter()
     col_norms = problem.column_norms_sq
+    # A NaN, infinite or overflowing entry of A shows in its column norms,
+    # and so in their sum ||A||_F^2, which can also overflow on its own;
+    # so this needs no extra pass over the matrix.
+    with np.errstate(over="ignore"):
+        frob_sq = float(col_norms.sum())
+    if not math.isfinite(frob_sq):
+        raise NonFiniteValue("the squared column norms of the matrix, or their sum, are not all finite")
     # select(s) -> (chosen index, member array, grcd threshold or None) calls
     # its rule through the module attribute, so a wrapper there sees each call.
     if method is Method.RGS:
         picks = _rgs_picks(np.cumsum(col_norms), rng)
         select = lambda s: ((j := next(picks)), [j], None)
     elif method is Method.GRCD:
-        frob_sq = float(col_norms.sum())
         select = lambda s: grcd_select(s, col_norms, frob_sq, rng)
     elif method is Method.GGS_RANDOMIZED:
         select = lambda s: (*ggs_randomized_select(s, col_norms, rng), None)
     else:
         select = lambda s: (*ggs_select(s, col_norms), None)
-    # A NaN, infinite or overflowing entry of A shows in its column norms,
-    # so this needs no extra pass over the matrix.
-    if not np.isfinite(col_norms).all():
-        raise NonFiniteValue("the squared column norms of the matrix are not all finite")
     if not np.isfinite(b).all():
         raise NonFiniteValue("the rhs has a NaN or infinite entry")
     if x_star is not None and not np.isfinite(x_star).all():

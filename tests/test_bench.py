@@ -9,7 +9,7 @@ from scipy import sparse
 
 from conftest import data_path, report_digest
 
-from greedylsq import bench, cli, solvers
+from greedylsq import bench, solvers
 from greedylsq.bench import (
     ExperimentResult,
     ExperimentSpec,
@@ -304,7 +304,6 @@ def test_the_rgs_curve_ends_at_the_final_res_of_the_table(tmp_path, consistent):
     for seed in range(1, 4):
         entry = random_entry(label=f"r{seed}", m=300, n=20, consistent=consistent)
         spec = ExperimentSpec(problem=entry, methods=[Method.RGS], repeats=1, base_seed=seed)
-        trial = run_experiment(spec).trials[0]
-        cli._write_curve(entry, spec, str(tmp_path))
+        trial = run_experiment(spec, tmp_path / f"curve_r{seed}.csv").trials[0]
         last = list(csv.reader(io.StringIO((tmp_path / f"curve_r{seed}.csv").read_text())))[-1]
         assert (int(last[0]), float(last[2])) == (trial.iterations, trial.final_res)

@@ -13,7 +13,7 @@ from conftest import data_path
 from greedylsq import cli
 from greedylsq.analysis import verify_trace
 from greedylsq.cli import main
-from greedylsq.problems import load_manifest, save_matrix_market
+from greedylsq.problems import gen_gaussian, load_manifest, save_matrix_market
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +117,35 @@ def test_bench_runs_manifest(tmp_path, capsys):
     header = (out_dir / "bench_table.csv").read_text().splitlines()[0]
     assert header == "problem,it_ggs,it_grcd,it_speedup,cpu_ggs,cpu_grcd,cpu_speedup"
     assert "rand" in out and "fix" in out
+
+
+def test_bench_builds_each_rows_problem_once_with_its_curve(tmp_path, capsys, count_calls):
+    # The curve is a traced re-solve of trial 0's own problem: the file is
+    # read, and each problem and its G built, once per row or trial.
+    save_matrix_market(gen_gaussian(300, 12, 4), tmp_path / "m.mtx")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("f file:m.mtx consistent\nr random:300x12 inconsistent\n")
+    names = ["load_matrix_market", "make_consistent", "gen_gaussian", "make_inconsistent",
+             "gram_matrix", "solve"]
+    calls = {name: count_calls(name) for name in names}
+    code, _, _ = run_cli(capsys, "bench", str(manifest), "--repeats", "3", "--methods", "ggs,grcd",
+                         "--out", str(tmp_path / "out"))
+    assert code == 0
+    # 12 trials and 2 curves; the parent counted 2, 2, 4, 4, 6 and 14.
+    assert {name: len(c) for name, c in calls.items()} == dict(zip(names, [1, 1, 3, 3, 4, 14]))
+    for label in "fr":
+        assert (tmp_path / "out" / f"curve_{label}.csv").exists()
+
+
+def test_bench_reports_a_failed_curve_write_against_its_row(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a random:40x4 consistent\nb random:40x4 consistent\n")
+    (tmp_path / "out" / "curve_a.csv").mkdir(parents=True)
+    code, out, err = run_cli(capsys, "bench", str(manifest), "--repeats", "1", "--methods", "ggs",
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("greedylsq: experiment 'a' failed: ")
+    assert [row.split(",")[0] for row in out.splitlines()] == ["problem", "b"]
 
 
 def test_shipped_manifest_runs(tmp_path, capsys):

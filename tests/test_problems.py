@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -136,6 +138,20 @@ def test_replace_starts_with_no_cached_views():
     for copy in (dataclasses.replace(problem), dataclasses.replace(problem, known_solution=None)):
         assert not set(VIEWS) & set(vars(copy))
         assert copy.gram is not problem.gram
+
+
+@pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_pickled_or_copied_problem_starts_with_no_cached_views(duplicate):
+    problem = make_inconsistent(gen_gaussian(30, 4, seed=5), seed=6)
+    views = [getattr(problem, name) for name in VIEWS]
+    twin = duplicate(problem)
+    assert not set(VIEWS) & set(vars(twin))
+    assert (twin.rhs.tobytes(), twin.known_solution.tobytes(), twin.density) == \
+           (problem.rhs.tobytes(), problem.known_solution.tobytes(), problem.density)
+    for name, view in zip(VIEWS, views):
+        assert not getattr(twin, name).flags.writeable
+        assert getattr(twin, name).tobytes() == view.tobytes()
 
 
 @pytest.mark.parametrize("storage", [np.asfortranarray, sparse.csc_array])
@@ -647,6 +663,15 @@ def test_load_manifest_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ParseError, match=message):
             load_manifest(bad)
+
+
+def test_manifest_refuses_a_repeated_label(tmp_path):
+    # Two rows labelled alike would give two table rows that cannot be
+    # told apart and one curve file, the second row's.
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a random:40x4 consistent\nb random:40x4 consistent\n\na random:50x4 inconsistent\n")
+    with pytest.raises(ParseError, match="^line 4: label 'a' repeats the label of line 1$"):
+        load_manifest(bad)
 
 
 def test_manifest_negative_seed_names_its_line(tmp_path):

@@ -1111,6 +1111,31 @@ def test_overflowing_atb_raises_non_finite_value(count_calls, method, storage):
         assert not selections
 
 
+@pytest.mark.parametrize("storage", ["dense", "csc"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_an_overflowing_frobenius_norm_raises_non_finite_value(method, storage):
+    # Every squared column norm is finite at 2^1022, but their sum
+    # ||A||_F^2 = 2^1024 overflows: rgs used to draw only the last column
+    # and grcd to drop 1 / ||A||_F^2 from its threshold, each with a
+    # RuntimeWarning (an error under this suite's filter).  At 2^1021 the
+    # sum is 2^1023, inside the range, and every method solves.
+    A = gen_gaussian(40, 4, seed=3)
+    A /= np.linalg.norm(A, axis=0)
+    x_star = np.ones(4)
+    for log2_norm_sq, fits in ((1022, False), (1021, True)):
+        M = A * 2.0 ** (log2_norm_sq / 2)
+        problem = LsqProblem(matrix=M if storage == "dense" else sparse.csc_array(M),
+                             rhs=M @ x_star, known_solution=x_star)
+        assert np.log2(problem.column_norms_sq) == pytest.approx(log2_norm_sq, abs=1e-12)
+        config = SolverConfig(method=method, seed=1, max_iterations=3000)
+        if fits:
+            assert solve(problem, config).stop_reason is StopReason.RES_REACHED
+        else:
+            with pytest.raises(NonFiniteValue, match="^the squared column norms of the matrix, "
+                                                     "or their sum, are not all finite$"):
+                solve(problem, config)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method", list(Method))
 def test_huge_gradient_entries_still_converge(method):
