@@ -7,6 +7,8 @@ Gauss-Seidel baseline, together with machinery to check the greedy
 method's per-step contraction guarantees and a benchmark harness that
 averages iteration counts and solve times over repeated seeded trials.
 """
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     BoundReport,
     ggs_cumulative_bound,
@@ -74,57 +76,8 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroGradient",
-    "BoundReport",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FactorOutOfRange",
-    "GreedyGaussSeidel",
-    "GreedyLsqError",
-    "GreedyRandomizedCoordinateDescent",
-    "LsqProblem",
-    "ManifestEntry",
-    "Method",
-    "MissingEnergyError",
-    "NonFiniteValue",
-    "NotApplicable",
-    "NullSpaceEmpty",
-    "ParseError",
-    "RandomizedGaussSeidel",
-    "RandomizedGreedyGaussSeidel",
-    "RankDeficient",
-    "SolveReport",
-    "SolverConfig",
-    "StepRecord",
-    "StopReason",
-    "TrialRecord",
-    "UnsupportedField",
-    "ZeroColumn",
-    "assert_full_column_rank",
-    "emit_convergence_curve",
-    "emit_table",
-    "gen_gaussian",
-    "ggs_cumulative_bound",
-    "ggs_first_step_factor",
-    "ggs_per_step_factor",
-    "ggs_randomized_select",
-    "ggs_select",
-    "grcd_expected_factor",
-    "grcd_select",
-    "jacobi_eigenvalues",
-    "lambda_min_pos",
-    "load_manifest",
-    "load_matrix_market",
-    "load_vector",
-    "make_consistent",
-    "make_inconsistent",
-    "reference_solution",
-    "rgs_select",
-    "run_experiment",
-    "save_matrix_market",
-    "save_vector",
-    "solve",
-    "step",
-    "verify_trace",
-]
+# Every public name imported above, sorted; submodules stay out, so
+# ``from greedylsq import *`` binds no ``linalg`` or ``bench`` over a
+# caller's own names.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

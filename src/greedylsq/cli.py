@@ -6,6 +6,7 @@ Exit codes: 0 success / converged, 1 runtime error (a GreedyLsqError or an
 OSError), 2 iteration cap, 64 usage error, 66 missing input file.
 """
 import argparse
+import csv
 import os
 import sys
 import warnings
@@ -94,8 +95,11 @@ def build_parser():
     parser = _Parser(prog="greedylsq",
                      description="Greedy coordinate-descent least-squares solvers")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # Each handler is read from the module when the parser is built, not at
+    # import, so a wrapper set on ``cli.cmd_*`` after import is the one called.
 
     p = sub.add_parser("solve", help="solve one least-squares problem")
+    p.set_defaults(handler=cmd_solve)
     _add_matrix_args(p)
     _add_rhs_args(p, allow_file_rhs=True)
     p.add_argument("--method", choices=[m.value for m in Method], default="ggs")
@@ -104,6 +108,7 @@ def build_parser():
     p.add_argument("--trace", metavar="PATH", help="write a per-iteration convergence CSV")
 
     p = sub.add_parser("bench", help="run a benchmark manifest")
+    p.set_defaults(handler=cmd_bench)
     p.add_argument("manifest")
     p.add_argument("--repeats", type=_COUNT, default=ExperimentSpec.repeats)
     p.add_argument("--seed", type=_SEED, default=ExperimentSpec.base_seed)
@@ -114,6 +119,7 @@ def build_parser():
     _add_stop_args(p)
 
     p = sub.add_parser("verify-bounds", help="check a greedy run against its convergence theory")
+    p.set_defaults(handler=cmd_verify_bounds)
     _add_matrix_args(p)
     _add_rhs_args(p, allow_file_rhs=False)
     _add_stop_args(p)
@@ -122,6 +128,7 @@ def build_parser():
     p.add_argument("--csv", metavar="PATH", help="append a machine-readable summary row here")
 
     p = sub.add_parser("gen", help="generate a random problem and write it to files")
+    p.set_defaults(handler=cmd_gen)
     p.add_argument("--random", nargs=3, type=int, metavar=("M", "N", "SEED"), required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--consistent", action="store_true")
@@ -130,6 +137,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("info", help="print matrix statistics")
+    p.set_defaults(handler=cmd_info)
     p.add_argument("matrix")
 
     return parser
@@ -210,13 +218,12 @@ def cmd_bench(args, parser):
             res_tolerance=args.tol,
             max_iterations=args.max_iters,
         )
-        safe_label = "".join(c if c.isalnum() or c in "-_." else "_" for c in entry.label)
         try:
             # A trial that hits the cap is a warning to library callers and
             # one line here.
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
-                result = run_experiment(spec, os.path.join(args.out, f"curve_{safe_label}.csv"))
+                result = run_experiment(spec, os.path.join(args.out, f"curve_{entry.label}.csv"))
         except (GreedyLsqError, OSError) as exc:
             print(f"greedylsq: experiment {entry.label!r} failed: {exc}", file=sys.stderr)
             any_failed = True
@@ -267,10 +274,10 @@ def cmd_verify_bounds(args, parser):
         print(f"report: {args.out}", file=sys.stderr)
     if args.csv:
         fresh = not os.path.exists(args.csv)
-        with open(args.csv, "a", encoding="ascii") as fh:
+        with open(args.csv, "a", encoding="utf-8") as fh:
             if fresh:
                 fh.write("label," + bounds.csv_header() + "\n")
-            fh.write(f"{label}," + bounds.csv_row() + "\n")
+            csv.writer(fh, lineterminator="\n").writerow([label, *bounds.csv_row().split(",")])
 
     return EXIT_OK if total_violations == 0 else EXIT_ERROR
 
@@ -308,20 +315,11 @@ def cmd_info(args, parser):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "solve": cmd_solve,
-    "bench": cmd_bench,
-    "verify-bounds": cmd_verify_bounds,
-    "gen": cmd_gen,
-    "info": cmd_info,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args, parser)
+        return args.handler(args, parser)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     except (GreedyLsqError, OSError) as exc:

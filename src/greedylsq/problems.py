@@ -7,6 +7,7 @@ through BLAS, so it repeats bit for bit only on one numpy/BLAS build and
 CPU.
 """
 import os
+import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -387,8 +388,9 @@ def load_manifest(path):
 
         label  random:MxN | file:PATH  consistent|inconsistent  [seed]
 
-    Labels are unique.  File paths are resolved relative to the
-    manifest's directory.
+    Labels are unique and hold only ASCII letters, digits, '.', '_' and
+    '-', so each names its own ``curve_<label>.csv`` and table cell.
+    File paths are resolved relative to the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -399,6 +401,8 @@ def load_manifest(path):
         if len(parts) not in (3, 4):
             raise ParseError("expected 'label matrix consistency [seed]'", no)
         label, matrix_spec, consistency = parts[0], parts[1], parts[2]
+        if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
+            raise ParseError(f"label {label!r} may hold only ASCII letters, digits, '.', '_' and '-'", no)
         if label in label_nos:
             raise ParseError(f"label {label!r} repeats the label of line {label_nos[label]}", no)
         label_nos[label] = no

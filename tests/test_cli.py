@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import os
@@ -146,6 +147,28 @@ def test_bench_reports_a_failed_curve_write_against_its_row(tmp_path, capsys):
     assert code == 1
     assert err.startswith("greedylsq: experiment 'a' failed: ")
     assert [row.split(",")[0] for row in out.splitlines()] == ["problem", "b"]
+
+
+def test_bench_refuses_labels_that_would_share_a_curve_file(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a/b random:40x4 consistent\na_b random:40x4 consistent\n")
+    code, out, err = run_cli(capsys, "bench", str(manifest), "--repeats", "1", "--methods", "ggs",
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("greedylsq: line 1: label 'a/b' may hold only ASCII letters")
+    assert len(err.splitlines()) == 1
+
+
+def test_bench_refuses_a_non_ascii_label_in_one_line(tmp_path, capsys):
+    # Such a label once reached the ASCII table writer and ended in a traceback.
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("café random:40x4 consistent\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "bench", str(manifest), "--repeats", "1", "--methods", "ggs",
+                           "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("greedylsq: line 1: label ")
+    assert len(err.splitlines()) == 1
 
 
 def test_shipped_manifest_runs(tmp_path, capsys):
@@ -318,6 +341,25 @@ def test_verify_bounds_csv_row(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("label,lambda_min")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("name", ["a,b.mtx", "é,1.mtx"])
+def test_verify_bounds_csv_quotes_a_label_holding_a_comma(tmp_path, capsys, name):
+    matrix = tmp_path / name
+    save_matrix_market(gen_gaussian(60, 6, 2), str(matrix))
+    csv_path = tmp_path / "bounds.csv"
+    code, _, _ = run_cli(capsys, "verify-bounds", str(matrix), "--consistent", "--csv", str(csv_path))
+    assert code == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 8
+    assert row[0] == str(matrix)
+
+
+def test_main_calls_the_handler_the_module_holds_when_it_runs(monkeypatch, capsys):
+    # A wrapper set on cli.cmd_info after import is the one main calls.
+    monkeypatch.setattr(cli, "cmd_info", lambda args, parser: 7)
+    assert run_cli(capsys, "info", "/nonexistent.mtx")[0] == 7
 
 
 @pytest.mark.parametrize("flag, consistent", [("--consistent", "true"), ("--inconsistent", "false")])

@@ -674,6 +674,22 @@ def test_manifest_refuses_a_repeated_label(tmp_path):
         load_manifest(bad)
 
 
+@pytest.mark.parametrize("label", ["a/b", "x|y"])
+def test_manifest_refuses_a_label_outside_the_file_name_characters(tmp_path, label):
+    # "a/b" and "a_b" would share one curve file; "x|y" would split its
+    # markdown table row.
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"ok random:40x4 consistent\n{label} random:40x4 consistent\n")
+    with pytest.raises(ParseError, match=rf"^line 2: label {label!r} may hold only ASCII letters"):
+        load_manifest(bad)
+
+
+def test_manifest_accepts_letters_digits_dots_underscores_and_dashes(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("t1_1000x50 random:40x4 consistent\na.b-c random:40x4 inconsistent\n")
+    assert [entry.label for entry in load_manifest(good)] == ["t1_1000x50", "a.b-c"]
+
+
 def test_manifest_negative_seed_names_its_line(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("# seeds\nrow random:40x4 consistent -1\n")
