@@ -164,17 +164,7 @@ class BoundReport:
 
     def to_text(self):
         """Serialize as key: value lines, then each step's factor."""
-        lines = [
-            f"lambda_min: {self.lambda_min:.12e}",
-            f"max_set_size: {self.max_set_size}",
-            f"max_norm_sum: {self.max_norm_sum:.12e}",
-            f"first_step_factor: {_fmt_opt(self.first_step_factor)}",
-            f"worst_per_step_factor: {_fmt_opt(max(self.per_step_factors) if self.per_step_factors else None)}",
-            f"cumulative_factor: {_fmt_opt(self.cumulative_factor)}",
-            f"grcd_expected_factor: {_fmt_opt(self.grcd_expected)}",
-            f"steps_checked: {len(self.per_step_factors) + (1 if self.first_step_factor is not None else 0)}",
-            f"violations: {len(self.violations)}",
-        ]
+        lines = [f"{name}: {text(self)}" for name, text, _ in _FIELDS]
         for it, meas, bound in self.violations:
             lines.append(f"violation: iteration={it} measured={meas:.12e} bound={bound:.12e}")
         lines.append(f"cumulative_violations: {self.cumulative_violations}")
@@ -186,22 +176,34 @@ class BoundReport:
 
     @staticmethod
     def csv_header():
-        return "lambda_min,max_set_size,max_norm_sum,first_step_factor,cumulative_factor,grcd_expected_factor,violations"
+        return ",".join(name for name, _ in _CSV_FIELDS)
 
     def csv_row(self):
-        return ",".join([
-            f"{self.lambda_min:.12e}",
-            str(self.max_set_size),
-            f"{self.max_norm_sum:.12e}",
-            _fmt_opt(self.first_step_factor),
-            _fmt_opt(self.cumulative_factor),
-            _fmt_opt(self.grcd_expected),
-            str(len(self.violations)),
-        ])
+        return ",".join(cell for _, cell in self._csv_fields())
+
+    def _csv_fields(self):
+        """(name, text) of each CSV field, in the order of csv_header."""
+        return [(name, text(self)) for name, text in _CSV_FIELDS]
 
 
 def _fmt_opt(v):
     return "" if v is None else f"{v:.12e}"
+
+
+# The report's summary fields in order: name, the text of a report's value
+# (empty for an absent factor), and whether the CSV row carries the field.
+_FIELDS = [
+    ("lambda_min", lambda r: f"{r.lambda_min:.12e}", True),
+    ("max_set_size", lambda r: str(r.max_set_size), True),
+    ("max_norm_sum", lambda r: f"{r.max_norm_sum:.12e}", True),
+    ("first_step_factor", lambda r: _fmt_opt(r.first_step_factor), True),
+    ("worst_per_step_factor", lambda r: _fmt_opt(max(r.per_step_factors, default=None)), False),
+    ("cumulative_factor", lambda r: _fmt_opt(r.cumulative_factor), True),
+    ("grcd_expected_factor", lambda r: _fmt_opt(r.grcd_expected), True),
+    ("steps_checked", lambda r: str(len(r.per_step_factors) + (r.first_step_factor is not None)), False),
+    ("violations", lambda r: str(len(r.violations)), True),
+]
+_CSV_FIELDS = [(name, text) for name, text, in_csv in _FIELDS if in_csv]
 
 
 def verify_trace(trace, lambda_min, n):
@@ -220,21 +222,19 @@ def verify_trace(trace, lambda_min, n):
         MissingEnergyError: if any record lacks energy data.
     """
     report = BoundReport(lambda_min=lambda_min)
-    if not trace:
-        return report
-
-    step_records = [rec for rec in trace if rec.chosen_index is not None]
     if any(rec.energy_error_sq is None for rec in trace):
         raise MissingEnergyError("trace was recorded without a known solution")
 
-    if step_records:
-        report.max_set_size = max(rec.candidate_set_size for rec in step_records)
-        report.max_norm_sum = max(rec.candidate_norm_sum for rec in step_records)
-
-    for idx in range(len(trace) - 1):
-        rec, nxt = trace[idx], trace[idx + 1]
+    # A selection on the last record counts in the maxima and steps, but has no ratio.
+    steps = 0
+    for rec, nxt in zip(trace, [*trace[1:], None]):
         if rec.chosen_index is None:
             continue
+        steps += 1
+        report.max_set_size = max(report.max_set_size, rec.candidate_set_size)
+        report.max_norm_sum = max(report.max_norm_sum, rec.candidate_norm_sum)
+        if nxt is None:
+            break
         if rec.iteration == 0:
             factor = ggs_first_step_factor(lambda_min, n, rec.candidate_set_size, rec.candidate_norm_sum)
             report.first_step_factor = factor
@@ -245,9 +245,9 @@ def verify_trace(trace, lambda_min, n):
         if measured > factor + RATIO_SLACK:
             report.violations.append((rec.iteration, measured, factor))
 
-    if step_records and n >= 2 and report.first_step_factor is not None:
+    if n >= 2 and report.first_step_factor is not None:
         worst = ggs_per_step_factor(lambda_min, n, report.max_set_size, report.max_norm_sum)
-        report.cumulative_factor = worst ** (len(step_records) - 1) * report.first_step_factor
+        report.cumulative_factor = worst ** (steps - 1) * report.first_step_factor
         # Cumulative envelope: the energy error at step k must sit under
         # worst^(k-1) * first * initial, where worst comes from the maxima
         # of the candidate-set size and norm sum over the whole run.

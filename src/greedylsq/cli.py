@@ -273,11 +273,11 @@ def cmd_verify_bounds(args, parser):
             fh.write(bounds.to_text())
         print(f"report: {args.out}", file=sys.stderr)
     if args.csv:
-        fresh = not os.path.exists(args.csv)
+        names, cells = zip(*bounds._csv_fields())
         with open(args.csv, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write("label," + bounds.csv_header() + "\n")
-            csv.writer(fh, lineterminator="\n").writerow([label, *bounds.csv_row().split(",")])
+            # The header goes into an empty file, new or not; never into a pipe.
+            header = [["label", *names]] if fh.seekable() and fh.tell() == 0 else []
+            csv.writer(fh, lineterminator="\n").writerows([*header, [label, *cells]])
 
     return EXIT_OK if total_violations == 0 else EXIT_ERROR
 

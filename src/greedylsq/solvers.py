@@ -421,12 +421,13 @@ def solve(problem, config):
         select = lambda s: (*ggs_select(s, col_norms), None)
     if not np.isfinite(b).all():
         raise NonFiniteValue("the rhs has a NaN or infinite entry")
-    if x_star is not None and not np.isfinite(x_star).all():
+    # One max|x*| tests x*: a NaN or inf propagates through it, and x* = 0
+    # would select the gradient rule, so it is no known solution.
+    x_star_max = float(np.abs(x_star).max()) if x_star is not None else 0.0
+    if not math.isfinite(x_star_max):
         raise NonFiniteValue("the known solution has a NaN or infinite entry")
-    # x* = 0 would select the gradient rule, so it is no known solution.
-    if x_star is not None and not x_star.any():
-        x_star = None
-    use_res_stop = x_star is not None
+    use_res_stop = x_star_max > 0.0
+    x_star = x_star if use_res_stop else None
 
     x = np.zeros(n)
     r = b.copy()
@@ -438,7 +439,7 @@ def solve(problem, config):
     if use_res_stop:
         # The power of two that brings max|x*| into [0.5, 1), clamped to
         # 2^1023 for a subnormal max|x*|, so that ||x*||^2 is positive.
-        scale = math.ldexp(1.0, min(-math.frexp(float(np.abs(x_star).max()))[1], 1023))
+        scale = math.ldexp(1.0, min(-math.frexp(x_star_max)[1], 1023))
         x_star_unit = x_star * scale
         x_star_unit_sq = float(np.dot(x_star_unit, x_star_unit))
         unreachable = x_star_unit[col_norms == 0.0]
@@ -463,10 +464,10 @@ def solve(problem, config):
         # its last fresh computation is what the refresh triggers compare,
         # rather than ||s||^2, which overflows long before s does.
         atb = problem.atb
-        if not np.isfinite(atb).all():
+        s_max0 = s_max_fresh = float(np.abs(atb).max())  # NaN and inf propagate
+        if not math.isfinite(s_max0):
             raise NonFiniteValue("A^T b has a NaN or infinite entry at iteration 0")
         s = atb.copy()
-        s_max0 = s_max_fresh = float(np.abs(s).max())
     grad0_sq = None
     if not use_res_stop:
         grad0_sq = float(np.dot(s, s))

@@ -25,7 +25,7 @@ from greedylsq.exceptions import (
 )
 from greedylsq.linalg import column_norms_sq
 from greedylsq.problems import LsqProblem, assert_full_column_rank, gen_gaussian, make_consistent
-from greedylsq.solvers import Method, SolverConfig, solve
+from greedylsq.solvers import Method, SolverConfig, StepRecord, solve
 
 
 def test_eigenvalues_small_cases():
@@ -214,6 +214,33 @@ def test_verify_trace_empty():
     assert bounds.violations == []
     assert bounds.first_step_factor is None
     assert bounds.max_set_size == 0
+
+
+def test_verify_trace_field_by_field_on_an_empty_trace():
+    assert dataclasses.asdict(verify_trace([], 2.0, 3)) == {
+        "lambda_min": 2.0, "max_set_size": 0, "max_norm_sum": 0.0, "first_step_factor": None,
+        "per_step_factors": [], "cumulative_factor": None, "grcd_expected": None,
+        "violations": [], "cumulative_violations": 0}
+
+
+def test_verify_trace_counts_a_selection_on_the_last_record_but_measures_no_ratio_for_it():
+    # The last record carries a selection but has no successor: its set size
+    # and norm sum enter the maxima and its step the cumulative exponent,
+    # while factors and ratios come only from the first two steps.
+    trace = [
+        StepRecord(iteration=0, chosen_index=1, candidate_set_size=2, candidate_norm_sum=3.0,
+                   energy_error_sq=4.0),
+        StepRecord(iteration=1, chosen_index=0, candidate_set_size=1, candidate_norm_sum=2.0,
+                   energy_error_sq=2.0),
+        StepRecord(iteration=2, chosen_index=2, candidate_set_size=3, candidate_norm_sum=5.0,
+                   energy_error_sq=1.0),
+    ]
+    first = 1.0 - 1.0 / (2 * 3.0 * 3)
+    worst = 1.0 - 1.0 / (3 * 5.0 * 2)
+    assert dataclasses.asdict(verify_trace(trace, 1.0, 3)) == {
+        "lambda_min": 1.0, "max_set_size": 3, "max_norm_sum": 5.0, "first_step_factor": first,
+        "per_step_factors": [1.0 - 1.0 / (1 * 2.0 * 2)], "cumulative_factor": worst ** 2 * first,
+        "grcd_expected": None, "violations": [], "cumulative_violations": 0}
 
 
 def test_verify_trace_requires_energy_data(worked_dense):

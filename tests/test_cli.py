@@ -343,6 +343,49 @@ def test_verify_bounds_csv_row(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_verify_bounds_csv_writes_its_header_into_an_empty_file(tmp_path, capsys):
+    csv_path = tmp_path / "bounds.csv"
+    csv_path.write_text("")
+    argv = ("verify-bounds", "--random", "60", "6", "2", "--csv", str(csv_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("label,lambda_min,")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert csv_path.read_text().splitlines() == [*lines, lines[1]]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_verify_bounds_csv_into_a_pipe_writes_the_row_alone(capsys):
+    # A pipe has no position to test for emptiness, so it gets rows alone.
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, encoding="utf-8") as reader:
+        try:
+            code, _, err = run_cli(capsys, "verify-bounds", "--random", "60", "6", "2",
+                                   "--csv", f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        lines = reader.read().splitlines()
+    assert (code, err) == (0, "")
+    assert len(lines) == 1 and lines[0].startswith("random 60x6 seed 2,")
+
+
+def test_verify_bounds_zero_steps_leaves_the_first_step_factor_empty(tmp_path, capsys):
+    # --tol 1 stops at iteration 0, so no factor exists to report.
+    report_path, csv_path = tmp_path / "report.txt", tmp_path / "bounds.csv"
+    code, out, _ = run_cli(capsys, "verify-bounds", "--random", "60", "6", "2", "--tol", "1",
+                           "--out", str(report_path), "--csv", str(csv_path))
+    assert code == 0
+    assert "iterations: 0" in out.splitlines()
+    assert "first_step_factor:" in out.splitlines()
+    assert "first_step_factor: " in report_path.read_text().splitlines()
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    assert header[4:6] == ["first_step_factor", "cumulative_factor"]
+    assert row[0] == "random 60x6 seed 2"
+    assert row[2:6] == ["0", "0.000000000000e+00", "", ""]
+    assert row[6] != "" and row[7] == "0"
+
+
 @pytest.mark.parametrize("name", ["a,b.mtx", "é,1.mtx"])
 def test_verify_bounds_csv_quotes_a_label_holding_a_comma(tmp_path, capsys, name):
     matrix = tmp_path / name
