@@ -45,7 +45,8 @@ class NullSpaceEmpty(GreedyLsqError):
 
 
 class UnsupportedField(GreedyLsqError):
-    """The matrix file uses a field this package does not support (complex)."""
+    """Complex input, which this package does not support: a complex or
+    hermitian matrix file, or a complex matrix, rhs or known solution."""
 
 
 class ParseError(GreedyLsqError):

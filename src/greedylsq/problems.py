@@ -10,6 +10,7 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 from scipy import sparse
@@ -18,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .analysis import gram_extreme_eigenvalues, gram_matrix
 from .exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from .linalg import column_norms_sq, matvec, transpose_matvec
-from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse
+from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse, refuse_complex
 
 # Added to a base seed to draw right-hand sides from a stream independent
 # of the matrix stream (seed sequences hash, so any fixed offset works).
@@ -32,9 +33,10 @@ GAUSSIAN_BLOCK_ENTRIES = 2**16
 class LsqProblem:
     """A least-squares instance: matrix, rhs, and optional known solution.
 
-    Any 2-D array-like or scipy sparse matrix is stored as column-major
-    float64 or canonical CSC, rhs and the known solution as float64
-    vectors of matching length.  Frozen, and its arrays must not be
+    Any real 2-D array-like or scipy sparse matrix is stored as
+    column-major float64 or canonical CSC, rhs and the known solution as
+    float64 vectors of matching length; complex input raises
+    UnsupportedField.  Frozen, and its arrays must not be
     written to after construction: the views below are computed from
     them on first use and kept.  ``dataclasses.replace`` coerces again
     and starts with no cached views, as does a pickled or copied problem.
@@ -50,8 +52,10 @@ class LsqProblem:
         A = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", A)
         object.__setattr__(self, "density", matrix_density(A))
+        refuse_complex(self.rhs, "rhs")
         object.__setattr__(self, "rhs", as_vector(self.rhs, size=A.shape[0], name="rhs"))
         if self.known_solution is not None:
+            refuse_complex(self.known_solution, "known_solution")
             object.__setattr__(self, "known_solution", as_vector(
                 self.known_solution, size=A.shape[1], name="known_solution"))
 
@@ -189,7 +193,7 @@ def load_matrix_market(path):
         ParseError: malformed content, with the offending line number.
         UnsupportedField: complex or hermitian files.
     """
-    lines, nos = _numbered_lines(path, "%")
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty file", 1)
 
@@ -210,47 +214,56 @@ def load_matrix_market(path):
     if mm_format == "array" and mm_field == "pattern":
         raise ParseError("array format cannot use the pattern field", 1)
 
-    # The header is a comment line, so the size line is the first of nos.
-    if not nos:
+    # The header is a comment line, so the size line is the first data line.
+    size_no = next(_data_line_numbers(lines, "%"), None)
+    if size_no is None:
         raise ParseError("missing size line", len(lines))
-    size_no, entry_nos = nos[0], nos[1:]
     m, n, *nnz = _read_size(lines[size_no - 1], size_no, mm_format)
     if mm_symmetry != "general" and m != n:
         raise ParseError(f"{mm_symmetry} storage needs a square matrix", size_no)
 
+    def entry_line(k):
+        """The number of the k-th line past the size line that holds data."""
+        return next(islice(_data_line_numbers(lines, "%", size_no), k, None))
+
     if mm_format == "coordinate":
-        _check_count(entry_nos, nnz[0], "entries", size_no)
-        pattern = mm_field == "pattern"
-        i, j, *v = _read_columns(entry_nos, lines, _ENTRY_FIELDS[:2] if pattern else _ENTRY_FIELDS, "entry")
+        fields = _ENTRY_FIELDS[:2] if mm_field == "pattern" else _ENTRY_FIELDS
+        i, j, *v = _read_columns(lines, size_no, "%", fields, "entry", (nnz[0], "entries"))
         outside = (i < 1) | (i > m) | (j < 1) | (j > n)
         if outside.any():
             k = outside.argmax()
-            raise ParseError(f"index ({i[k]}, {j[k]}) outside {m} x {n}", entry_nos[k])
+            raise ParseError(f"index ({i[k]}, {j[k]}) outside {m} x {n}", entry_line(k))
         rows, cols, vals = i - 1, j - 1, v[0] if v else np.ones(len(i))
     else:
         # Values are stored column by column: all of them, the lower triangle
         # (symmetric) or the strict lower triangle (skew-symmetric).
         count = {"general": m * n, "symmetric": n * (n + 1) // 2, "skew-symmetric": n * (n - 1) // 2}
-        _check_count(entry_nos, count[mm_symmetry], "values", size_no)
+        (vals,) = _read_columns(lines, size_no, "%", _ENTRY_FIELDS[2:], "value", (count[mm_symmetry], "values"))
         cols, rows = np.indices((n, m)).reshape(2, -1)
         if mm_symmetry != "general":
             keep = rows >= cols + (mm_symmetry == "skew-symmetric")
             rows, cols = rows[keep], cols[keep]
-        (vals,) = _read_columns(entry_nos, lines, _ENTRY_FIELDS[2:], "value")
 
-    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, entry_nos)
+    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, entry_line)
     try:
         return as_csc_matrix(sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc())
     except MemoryError:  # CSC storage holds n + 1 column pointers, whatever the entries
         raise ParseError(f"a {m} x {n} matrix does not fit in memory", size_no) from None
 
 
-def _numbered_lines(path, comments):
-    """The file's lines, and the 1-based numbers of those that hold data:
-    neither blank nor starting (past blanks) with a character of ``comments``."""
+def _read_lines(path):
+    """The file's lines; a byte outside ASCII reads as U+FFFD."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    return lines, [no for no, ln in enumerate(lines, start=1) if (s := ln.lstrip()) and s[0] not in comments]
+        return fh.read().splitlines()
+
+
+def _data_line_numbers(lines, comments, start=0):
+    """The 1-based numbers of the lines past the first ``start`` that hold
+    data: neither blank nor starting (past blanks) with a character of
+    ``comments``.  A generator, so the size line is found without
+    numbering the body."""
+    return (no for no, ln in enumerate(islice(lines, start, None), start + 1)
+            if (s := ln.lstrip()) and s[0] not in comments)
 
 
 # The largest size a file may declare: scipy indexes with int64.
@@ -284,18 +297,35 @@ def _check_count(nos, want, noun, size_no):
 _ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
 
 
-def _read_columns(nos, lines, fields, noun):
-    """Parse the numbered lines into one array per field.
-
-    Accepts what ``int`` and ``float`` accept, and names the first line
-    they cannot read.  numpy parses the whole body in one call; only if it
-    refuses (underscores between digits, say) is it rescanned line by line.
-    """
-    if nos:  # np.loadtxt warns on an empty body
+def _loadtxt(lines, fields):
+    """numpy's parse of the lines, one array per field, or None if it refuses them."""
+    if any(map(str.strip, lines)):  # np.loadtxt warns on lines with no data
         try:
-            return np.loadtxt([lines[no - 1] for no in nos], dtype=fields, comments=None, ndmin=1, unpack=True)
+            return np.loadtxt(lines, dtype=fields, comments=None, ndmin=1, unpack=True)
         except ValueError:
             pass
+    return None
+
+
+def _read_columns(lines, start, comments, fields, noun, count=None):
+    """Parse the data lines past the first ``start`` into one array per field.
+
+    Accepts what ``int`` and ``float`` accept, and names the first line
+    they cannot read.  numpy parses all the lines past ``start`` in one
+    call: it skips a blank line, as the data-line rule does, and refuses a
+    comment line.  Only if it refuses, or finds other than ``want`` rows
+    for ``count = (want, plural)``, are the data lines numbered: the count
+    is checked, numpy parses the data lines alone, and if it refuses again
+    they are rescanned line by line (underscores between digits, say).
+    """
+    columns = _loadtxt(lines[start:], fields)
+    if columns is not None and (count is None or len(columns[0]) == count[0]):
+        return columns
+    nos = list(_data_line_numbers(lines, comments, start))
+    if count is not None:
+        _check_count(nos, *count, start)
+    if (columns := _loadtxt([lines[no - 1] for no in nos], fields)) is not None:
+        return columns
     columns = [np.empty(len(nos), dtype=dtype) for _, dtype in fields]
     parsers = [int if dtype is np.int64 else float for _, dtype in fields]
     for k, no in enumerate(nos):
@@ -312,13 +342,13 @@ def _read_columns(nos, lines, fields, noun):
     return columns
 
 
-def _expand_symmetry(rows, cols, vals, mm_symmetry, nos):
-    """The full matrix's entries; nos numbers the lines of the stored ones."""
+def _expand_symmetry(rows, cols, vals, mm_symmetry, entry_line):
+    """The full matrix's entries; entry_line(k) numbers the line of the k-th stored one."""
     if mm_symmetry == "general":
         return rows, cols, vals
     off = rows != cols
     if mm_symmetry == "skew-symmetric" and (diagonal := ~off & (vals != 0.0)).any():
-        raise ParseError("skew-symmetric matrix has a nonzero diagonal entry", nos[diagonal.argmax()])
+        raise ParseError("skew-symmetric matrix has a nonzero diagonal entry", entry_line(diagonal.argmax()))
     sign = -1.0 if mm_symmetry == "skew-symmetric" else 1.0
     return (
         np.concatenate([rows, cols[off]]),
@@ -327,41 +357,52 @@ def _expand_symmetry(rows, cols, vals, mm_symmetry, nos):
     )
 
 
-def _value_lines(values):
-    """One line per value with all 17 significant digits, so a load round-trips exactly."""
-    return "".join("%.17g\n" % v for v in values.tolist())
+# The writers format this many entries in one % call.
+_WRITE_BLOCK_ENTRIES = 2**14
+
+
+def _write_lines(fh, line_format, columns):
+    """One line_format line per entry of the columns, all 17 significant
+    digits of a value, so a load round-trips exactly."""
+    for start in range(0, len(columns[0]), _WRITE_BLOCK_ENTRIES):
+        block = [column[start:start + _WRITE_BLOCK_ENTRIES].tolist() for column in columns]
+        fh.write(line_format * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def save_matrix_market(A, path):
     """Write a matrix back out: coordinate format for sparse storage,
     array format for dense.  Full float precision, so a load round-trips
-    exactly."""
+    exactly.  ``A`` is coerced as ``as_matrix`` does before the file is
+    opened, so a refused matrix leaves the file as it was."""
+    A = as_matrix(A)
     if is_sparse(A):
         # Canonical CSC holds its entries column by column with rows
         # ascending, the order the file lists them in.
-        A = as_csc_matrix(A)
         coo = A.tocoo()
         kind, size = "coordinate", f"{A.shape[0]} {A.shape[1]} {A.nnz}"
-        body = "".join("%d %d %.17g\n" % entry for entry in zip(
-            (coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist()))
+        line_format, columns = "%d %d %.17g\n", (coo.row + 1, coo.col + 1, coo.data)
     else:
         kind, size = "array", f"{A.shape[0]} {A.shape[1]}"
-        body = _value_lines(np.asarray(A).ravel(order="F"))
+        line_format, columns = "%.17g\n", (A.ravel(order="F"),)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"%%MatrixMarket matrix {kind} real general\n{size}\n{body}")
+        fh.write(f"%%MatrixMarket matrix {kind} real general\n{size}\n")
+        _write_lines(fh, line_format, columns)
 
 
 def load_vector(path):
     """Read a one-value-per-line vector file ('#' and '%' start comments)."""
-    lines, nos = _numbered_lines(path, "#%")
-    if not nos:
+    (values,) = _read_columns(_read_lines(path), 0, "#%", _ENTRY_FIELDS[2:], "vector entry")
+    if not len(values):
         raise ParseError("vector file has no values", 1)
-    return _read_columns(nos, lines, _ENTRY_FIELDS[2:], "vector entry")[0]
+    return values
 
 
 def save_vector(v, path):
+    """Write one value per line; ``v`` is coerced as ``as_vector`` does
+    before the file is opened."""
+    v = as_vector(v)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_value_lines(np.asarray(v, dtype=np.float64)))
+        _write_lines(fh, "%.17g\n", (v,))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +436,8 @@ def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     label_nos = {}
-    lines, nos = _numbered_lines(path, "#")
-    for no in nos:
+    lines = _read_lines(path)
+    for no in _data_line_numbers(lines, "#"):
         parts = lines[no - 1].split("#", 1)[0].split()
         if len(parts) not in (3, 4):
             raise ParseError("expected 'label matrix consistency [seed]'", no)

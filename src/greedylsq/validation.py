@@ -2,10 +2,13 @@
 
 Matrices are accepted either as dense 2-D arrays (stored column-major,
 because every hot kernel walks one column at a time) or as compressed
-sparse column arrays.  Vectors are 1-D float64 arrays.
+sparse column arrays.  Vectors are 1-D float64 arrays.  Complex input
+is refused: a float64 coercion would keep only its real part.
 """
 import numpy as np
 from scipy import sparse
+
+from .exceptions import UnsupportedField
 
 
 def is_sparse(A):
@@ -39,10 +42,17 @@ def as_csc_matrix(A):
 
 
 def as_matrix(A):
-    """Coerce to one of the two supported storage forms."""
+    """Coerce to one of the two supported storage forms; complex input raises UnsupportedField."""
+    refuse_complex(A, "matrix")
     if is_sparse(A):
         return as_csc_matrix(A)
     return as_dense_matrix(A)
+
+
+def refuse_complex(x, name):
+    """Raise UnsupportedField if ``x`` (an array, a sparse matrix or a list) is complex."""
+    if np.iscomplexobj(x):
+        raise UnsupportedField(f"{name} is complex; only real input is supported")
 
 
 def as_vector(v, size=None, name="vector"):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import data_path
+from oracles import ref_save_matrix_market, ref_save_vector
 
 from greedylsq import problems
 from greedylsq.analysis import gram_matrix
@@ -512,6 +514,73 @@ def test_matrix_market_roundtrip_dense(tmp_path):
     assert np.array_equal(back.toarray(), A)
 
 
+# Values whose 17-digit text is easy to get wrong: subnormals, +-1e300,
+# nan, +-inf and -0.0 (which canonical CSC drops as a zero).
+_EDGE_VALUES = [5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300, np.nan, np.inf, -np.inf,
+                -0.0, 0.1, -1.0 / 3.0, 2.0 ** 53]
+
+
+@pytest.mark.parametrize("block", [5, problems._WRITE_BLOCK_ENTRIES])
+@pytest.mark.parametrize("storage", ["dense", "list", "csc", "csr"])
+def test_saved_bytes_equal_the_earlier_writers(tmp_path, monkeypatch, storage, block):
+    """Each block of entries is formatted in one call, as the earlier
+    writers formatted each entry: the same bytes in one block or several."""
+    monkeypatch.setattr(problems, "_WRITE_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(36)
+    values[12:][rng.random(24) < 0.3] = 0.0
+    values[:12] = _EDGE_VALUES
+    A = values.reshape(4, 9).T  # column-major order lists the edge values first
+    M = {"dense": A, "list": A.tolist(), "csc": sparse.csc_array(A), "csr": sparse.csr_array(A)}[storage]
+    save_matrix_market(M, tmp_path / "new.mtx")
+    ref_save_matrix_market(np.asarray(M) if storage == "list" else M, tmp_path / "ref.mtx")
+    assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+    save_vector(values, tmp_path / "new.txt")
+    ref_save_vector(values, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((2, 2, 2)), "expected a 2-D matrix, got ndim=3"),
+    (np.zeros((0, 3)), r"at least one row and column, got \(0, 3\)"),
+    (np.ones(3), "expected a 2-D matrix, got ndim=1"),
+])
+def test_save_matrix_market_refuses_before_it_opens_the_file(tmp_path, matrix, message):
+    path = tmp_path / "m.mtx"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=message):
+        save_matrix_market(matrix, path)
+    assert path.read_text() == "kept\n"
+
+
+def test_save_vector_refuses_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=r"must be 1-D, got shape \(2, 2\)"):
+        save_vector(np.ones((2, 2)), path)
+    assert path.read_text() == "kept\n"
+
+
+def test_save_matrix_market_writes_a_nested_list_as_its_array(tmp_path):
+    save_matrix_market([[1.0, 2.0], [3.0, 4.5]], tmp_path / "m.mtx")
+    assert np.array_equal(load_matrix_market(tmp_path / "m.mtx").toarray(), [[1.0, 2.0], [3.0, 4.5]])
+
+
+@pytest.mark.parametrize("name", ["fixture3x2.mtx", "duplicates.mtx", "pattern.mtx", "symmetric.mtx",
+                                  "skew.mtx", "array2x2.mtx", "array_symmetric.mtx", "rankdef2col.mtx"])
+def test_a_well_formed_body_is_read_in_one_slice(monkeypatch, name):
+    """numpy parses the body once, and only the size line is looked for
+    by number: a refused body alone is numbered line by line."""
+    want = load_matrix_market(data_path(name))
+    parse = mock.Mock(wraps=problems._loadtxt)
+    number = mock.Mock(wraps=problems._data_line_numbers)
+    monkeypatch.setattr(problems, "_loadtxt", parse)
+    monkeypatch.setattr(problems, "_data_line_numbers", number)
+    got = load_matrix_market(data_path(name))
+    assert all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
+    assert parse.call_count == 1 and number.call_count == 1
+
+
 def test_density():
     M = load_matrix_market(data_path("fixture3x2.mtx"))
     assert matrix_density(M) == pytest.approx(2 / 6)
@@ -540,6 +609,24 @@ def test_a_matrix_needs_two_dimensions_with_entries(matrix, message):
         as_matrix(matrix)
     with pytest.raises(ValueError, match=message):
         LsqProblem(matrix=matrix, rhs=np.ones(3))
+
+
+_COMPLEX = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0], [1.0, 1.0j]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_matrix(_COMPLEX),
+    lambda: as_matrix(_COMPLEX.tolist()),
+    lambda: LsqProblem(matrix=_COMPLEX, rhs=np.ones(3)),
+    lambda: LsqProblem(matrix=sparse.csc_array(_COMPLEX), rhs=np.ones(3)),
+    lambda: LsqProblem(matrix=_COMPLEX.real, rhs=np.ones(3) + 1.0j),
+    lambda: LsqProblem(matrix=_COMPLEX.real, rhs=np.ones(3), known_solution=[1.0, 1.0j]),
+    lambda: GreedyGaussSeidel().fit(_COMPLEX, np.ones(3)),
+], ids=["as_matrix", "as_matrix-list", "dense", "csc", "rhs", "known_solution", "fit"])
+def test_complex_input_raises_unsupported_field(build):
+    """A float64 coercion would keep only the real part."""
+    with pytest.raises(UnsupportedField, match="complex"):
+        build()
 
 
 @pytest.mark.parametrize("shape", [(6, 1), (1, 6), (2, 3)])

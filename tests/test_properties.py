@@ -1,8 +1,8 @@
 """Property tests of the solve loop on small generated problems, of its
 running res against a res computed at every step, of rgs's block draws on
 generated norm tables, of grcd's selection against its earlier code on
-generated gradients, and of the MatrixMarket reader on small generated
-files.
+generated gradients, and of the MatrixMarket and vector readers on small
+generated files, alone and against their earlier code.
 
 Each solve example is a seeded Gaussian matrix, optionally thinned to a
 sparse pattern (every column keeps at least one entry), solved in dense
@@ -17,12 +17,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import ref_ggs_randomized_select, ref_ggs_select, ref_grcd_select, ref_rgs_select
+from oracles import (
+    ref_ggs_randomized_select,
+    ref_ggs_select,
+    ref_grcd_select,
+    ref_load_matrix_market,
+    ref_load_vector,
+    ref_rgs_select,
+)
 
 from greedylsq import solvers
 from greedylsq.exceptions import AllZeroGradient, GreedyLsqError, NonFiniteValue, RankDeficient
 from greedylsq.linalg import column_dot, column_norms_sq
-from greedylsq.problems import LsqProblem, load_matrix_market
+from greedylsq.problems import LsqProblem, load_matrix_market, load_vector
 from greedylsq.solvers import (
     TIE_TOLERANCE_REL,
     Method,
@@ -448,3 +455,45 @@ def test_a_matrix_file_loads_as_canonical_csc_or_names_its_fault(mtx_path, text)
         return
     assert M.format == "csc" and M.has_canonical_format
     assert not np.any(M.data == 0.0)
+
+
+# Lines the data-line rule skips: blank, whitespace-only (a form feed ends a
+# line, the unit separator \x1f is whitespace) and comment lines.
+_FILLER_LINES = ["", "   ", "\t", "\f", " \f\t ", "\x1f", "%", "% note", "  % indented", "%%MatrixMarket"]
+
+
+@st.composite
+def matrix_market_texts_with_filler(draw):
+    """A matrix_market_texts() text with up to four filler lines inserted
+    anywhere past the header."""
+    lines = draw(matrix_market_texts()).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(_FILLER_LINES)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _read_outcome(read, path):
+    """The bytes of what ``read`` returns, or its exception's type, line number and message."""
+    try:
+        M = read(path)
+    except Exception as exc:  # noqa: BLE001 - any outcome is compared
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    if sparse.issparse(M):
+        return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+    return M.dtype, M.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10 * settings.default.max_examples)
+@given(text=matrix_market_texts_with_filler())
+def test_a_matrix_file_reads_as_the_earlier_reader_read_it(mtx_path, text):
+    """The same CSC arrays bit for bit, or the same refusal on the same line."""
+    mtx_path.write_text(text)
+    assert _read_outcome(load_matrix_market, mtx_path) == _read_outcome(ref_load_matrix_market, mtx_path)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10 * settings.default.max_examples)
+@given(lines=st.lists(st.sampled_from(["1", "-2.5", "3e-1", "1_0", "nan", "1e400", "x", "1 2", "# note"]
+                                      + _FILLER_LINES), max_size=6))
+def test_a_vector_file_reads_as_the_earlier_reader_read_it(mtx_path, lines):
+    mtx_path.write_text("".join(line + "\n" for line in lines))
+    assert _read_outcome(load_vector, mtx_path) == _read_outcome(ref_load_vector, mtx_path)
