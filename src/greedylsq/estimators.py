@@ -11,7 +11,7 @@ import numpy as np
 from .linalg import matvec
 from .problems import LsqProblem
 from .solvers import Method, SolverConfig, solve
-from .validation import as_vector, is_sparse
+from .validation import as_vector, is_sparse, refuse_complex
 
 
 class BaseCoordinateDescent:
@@ -58,8 +58,10 @@ class BaseCoordinateDescent:
             raise RuntimeError(f"{type(self).__name__} is not fitted yet; call fit first")
 
     def predict(self, X):
-        """X @ coef_ in X's own storage: a dense X is not copied to column-major order."""
+        """X @ coef_ in X's own storage: a dense X is not copied to column-major
+        order.  Complex X raises UnsupportedField."""
         self._check_fitted()
+        refuse_complex(X, "X")
         if not is_sparse(X):
             X = np.asarray(X, dtype=np.float64)
             if X.ndim != 2:
@@ -73,8 +75,10 @@ class BaseCoordinateDescent:
 
         Raises:
             ValueError: if y's length is not X's row count.
+            UnsupportedField: if X or y is complex.
         """
         self._check_fitted()
+        refuse_complex(y, "y")
         y = as_vector(y, name="y")
         prediction = self.predict(X)
         if y.shape[0] != prediction.shape[0]:

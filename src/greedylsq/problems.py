@@ -6,6 +6,7 @@ repeat bit for bit on any platform.  A right-hand side A x_true goes
 through BLAS, so it repeats bit for bit only on one numpy/BLAS build and
 CPU.
 """
+import io
 import os
 import re
 from dataclasses import dataclass, field, fields
@@ -189,11 +190,35 @@ def load_matrix_market(path):
     accepted; symmetric and skew-symmetric storage is expanded to full,
     pattern entries get unit values, and duplicate coordinates are summed.
 
+    The file is read once, as bytes, and never decompressed: a ``.gz``
+    file is read as it stands.  scipy's C++ reader (``scipy.io.mmread``)
+    parses a real general file, in either format, whose bytes pass the
+    check of ``_scipy_entries``: a canonical header, '%' comments, then
+    lines that are blank or hold digit-only indices and a value that
+    ``float`` reads, and no byte outside them.  Every other file, and
+    every file scipy refuses, is parsed by the package's own reader,
+    which names the line at fault.  Both give the same CSC arrays bit
+    for bit.
+
     Raises:
         ParseError: malformed content, with the offending line number.
         UnsupportedField: complex or hermitian files.
     """
-    lines = _read_lines(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entries = _scipy_entries(data)
+    if entries is None:
+        entries = _read_entries(_text_lines(data))
+    m, n, size_no, rows, cols, vals = entries
+    try:
+        return as_csc_matrix(sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc())
+    except MemoryError:  # CSC storage holds n + 1 column pointers, whatever the entries
+        raise ParseError(f"a {m} x {n} matrix does not fit in memory", size_no) from None
+
+
+def _read_entries(lines):
+    """(m, n, size_no, rows, cols, vals) of the full matrix a file's lines
+    hold, with 0-based int64 indices; raises on any fault, naming its line."""
     if not lines:
         raise ParseError("empty file", 1)
 
@@ -244,17 +269,106 @@ def load_matrix_market(path):
             keep = rows >= cols + (mm_symmetry == "skew-symmetric")
             rows, cols = rows[keep], cols[keep]
 
-    rows, cols, vals = _expand_symmetry(rows, cols, vals, mm_symmetry, entry_line)
+    return m, n, size_no, *_expand_symmetry(rows, cols, vals, mm_symmetry, entry_line)
+
+
+# The headers scipy's parser is given, with the numbers on their size line
+# and on each body line.
+_SCIPY_HEADERS = {
+    (b"%%MatrixMarket", b"matrix", b"coordinate", b"real", b"general"): (3, 3),
+    (b"%%MatrixMarket", b"matrix", b"array", b"real", b"general"): (2, 1),
+}
+# The header, comment and size lines hold only printable ASCII and tabs.
+_TEXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+# The shape of a body byte: '0' for a digit, itself for another byte of a
+# number or a line, 'x' for any other, so that float() refuses it.
+_SHAPE_OF_BYTE = bytes(ord("0") if 0x30 <= b <= 0x39 else b if b in b"+-.eE \t\r\n" else ord("x")
+                       for b in range(256))
+# The body's shapes are taken this many bytes at a time, so that no list
+# of all its lines is held.
+_SHAPE_CHUNK_BYTES = 2**18
+
+
+def _scipy_entries(data):
+    """What _read_entries returns for a file's bytes, parsed by scipy's
+    reader, or None to leave the file to the package's own reader.
+
+    scipy reads '1.2.3' as 1.2 and '1e' as 1, '1_0' as 1 and '0x10' as 0,
+    skips a fourth number on an entry line and reads a lone CR as a
+    space.  So it is given only a file of these bytes:
+
+    - the header is '%%MatrixMarket matrix coordinate|array real general';
+    - the lines up to the size line are '%' comments;
+    - the size line holds three (coordinate) or two (array) digit-only
+      numbers, none of m and n 0;
+    - those lines hold only printable ASCII and tabs, and a CR comes only
+      right before an LF;
+    - each later line is blank or holds 'row col value' (coordinate) or
+      'value' (array): digit-only indices, and a value of digits, signs,
+      '.', 'e' and 'E' that ``float`` reads.
+
+    scipy itself refuses a wrong number of entries and an index outside
+    the matrix.  Any exception it raises leaves the file to the package's
+    own reader, which names the fault and its line.
+    """
+    header_end = data.find(b"\n") + 1
+    counts = _SCIPY_HEADERS.get(tuple(data[:header_end].split()))
+    if counts is None:
+        return None
+    size_start = header_end
+    while data.startswith(b"%", size_start):
+        size_start = data.find(b"\n", size_start) + 1 or len(data)
+    body_start = data.find(b"\n", size_start) + 1 or len(data)
+    words = data[size_start:body_start].split()
+    if len(words) != counts[0] or not all(map(bytes.isdigit, words)):
+        return None
+    m, n, *_ = sizes = [int(word) for word in words]
+    if min(m, n) < 1 or max(sizes) > _SIZE_MAX or data[:body_start].translate(None, _TEXT_BYTES):
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    if not _body_has_shape(data, body_start, counts[1]):
+        return None
+    from scipy.io import mmread  # imported here: 20 ms and 1 MB that only this needs
     try:
-        return as_csc_matrix(sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc())
-    except MemoryError:  # CSC storage holds n + 1 column pointers, whatever the entries
-        raise ParseError(f"a {m} x {n} matrix does not fit in memory", size_no) from None
+        M = mmread(io.BytesIO(data))
+    except Exception:  # noqa: BLE001 - the package's own reader names the fault
+        return None
+    size_no = data.count(b"\n", 0, size_start) + 1
+    if counts[1] == 1:
+        cols, rows = np.indices((n, m)).reshape(2, -1)  # stored column by column
+        return m, n, size_no, rows, cols, M.ravel(order="F")
+    return m, n, size_no, M.row.astype(np.int64), M.col.astype(np.int64), M.data
+
+
+def _body_has_shape(data, start, numbers):
+    """Whether each line of data[start:] is blank or holds ``numbers``
+    numbers: digit-only indices, then a value that ``float`` reads."""
+    shapes = set()
+    while start < len(data):
+        end = data.find(b"\n", start + _SHAPE_CHUNK_BYTES) + 1 or len(data)
+        shapes.update(data[start:end].translate(_SHAPE_OF_BYTE).split(b"\n"))
+        start = end
+    for words in map(bytes.split, shapes):
+        if not words:
+            continue
+        if len(words) != numbers or not all(map(bytes.isdigit, words[:-1])):
+            return False
+        try:
+            float(words[-1])
+        except ValueError:
+            return False
+    return True
+
+
+def _text_lines(data):
+    """The lines of a file's bytes; a byte outside ASCII reads as U+FFFD."""
+    return data.decode("ascii", errors="replace").splitlines()
 
 
 def _read_lines(path):
-    """The file's lines; a byte outside ASCII reads as U+FFFD."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return fh.read().splitlines()
+    with open(path, "rb") as fh:
+        return _text_lines(fh.read())
 
 
 def _data_line_numbers(lines, comments, start=0):
@@ -399,7 +513,8 @@ def load_vector(path):
 
 def save_vector(v, path):
     """Write one value per line; ``v`` is coerced as ``as_vector`` does
-    before the file is opened."""
+    before the file is opened, and complex input raises UnsupportedField."""
+    refuse_complex(v, "vector")
     v = as_vector(v)
     with open(path, "w", encoding="ascii") as fh:
         _write_lines(fh, "%.17g\n", (v,))

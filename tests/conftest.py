@@ -36,6 +36,17 @@ def report_digest(report):
     return digest.hexdigest()[:16]
 
 
+def read_outcome(read, path):
+    """The bytes of what ``read`` returns, or its exception's type, line number and message."""
+    try:
+        M = read(path)
+    except Exception as exc:  # noqa: BLE001 - any outcome is compared
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    if sparse.issparse(M):
+        return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+    return M.dtype, M.tobytes()
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(name)`` wraps the greedylsq function ``name`` at every

@@ -8,6 +8,7 @@ from greedylsq.estimators import (
     RandomizedGaussSeidel,
     RandomizedGreedyGaussSeidel,
 )
+from greedylsq.exceptions import UnsupportedField
 from greedylsq.problems import gen_gaussian, make_consistent
 from greedylsq.solvers import StopReason
 
@@ -53,6 +54,21 @@ def test_score_and_predict_name_both_lengths_of_a_mismatch():
     for X in (np.ones((3, 5)), sparse.csc_array(np.ones((3, 5)))):
         with pytest.raises(ValueError, match="^X has 5 columns, but coef_ has length 4$"):
             est.predict(X)
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+def test_predict_refuses_a_complex_matrix(worked_dense, worked_rhs, storage):
+    """A float64 coercion would keep only the real part of a dense X; a
+    complex sparse X would give a complex prediction."""
+    est = GreedyGaussSeidel().fit(worked_dense, worked_rhs)
+    with pytest.raises(UnsupportedField, match="^X is complex"):
+        est.predict(storage(worked_dense + 1.0j))
+
+
+def test_score_refuses_a_complex_rhs(worked_dense, worked_rhs):
+    est = GreedyGaussSeidel().fit(worked_dense, worked_rhs)
+    with pytest.raises(UnsupportedField, match="^y is complex"):
+        est.score(worked_dense, worked_rhs + 1.0j)
 
 
 def test_score_on_a_constant_y():

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gzip
 import os
 import pickle
 from unittest import mock
@@ -9,8 +10,8 @@ import pytest
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import data_path
-from oracles import ref_save_matrix_market, ref_save_vector
+from conftest import DATA_DIR, data_path, read_outcome
+from oracles import ref_load_matrix_market, ref_save_matrix_market, ref_save_vector
 
 from greedylsq import problems
 from greedylsq.analysis import gram_matrix
@@ -561,6 +562,15 @@ def test_save_vector_refuses_before_it_opens_the_file(tmp_path):
     assert path.read_text() == "kept\n"
 
 
+def test_save_vector_refuses_complex_input_before_it_opens_the_file(tmp_path):
+    """A float64 coercion would write only the real part."""
+    path = tmp_path / "v.txt"
+    path.write_text("kept\n")
+    with pytest.raises(UnsupportedField, match="^vector is complex"):
+        save_vector([1.0 + 1.0j, 2.0], path)
+    assert path.read_text() == "kept\n"
+
+
 def test_save_matrix_market_writes_a_nested_list_as_its_array(tmp_path):
     save_matrix_market([[1.0, 2.0], [3.0, 4.5]], tmp_path / "m.mtx")
     assert np.array_equal(load_matrix_market(tmp_path / "m.mtx").toarray(), [[1.0, 2.0], [3.0, 4.5]])
@@ -569,9 +579,11 @@ def test_save_matrix_market_writes_a_nested_list_as_its_array(tmp_path):
 @pytest.mark.parametrize("name", ["fixture3x2.mtx", "duplicates.mtx", "pattern.mtx", "symmetric.mtx",
                                   "skew.mtx", "array2x2.mtx", "array_symmetric.mtx", "rankdef2col.mtx"])
 def test_a_well_formed_body_is_read_in_one_slice(monkeypatch, name):
-    """numpy parses the body once, and only the size line is looked for
-    by number: a refused body alone is numbered line by line."""
+    """In the package's own reader, numpy parses the body once, and only
+    the size line is looked for by number: a refused body alone is
+    numbered line by line."""
     want = load_matrix_market(data_path(name))
+    monkeypatch.setattr(problems, "_scipy_entries", lambda data: None)
     parse = mock.Mock(wraps=problems._loadtxt)
     number = mock.Mock(wraps=problems._data_line_numbers)
     monkeypatch.setattr(problems, "_loadtxt", parse)
@@ -579,6 +591,46 @@ def test_a_well_formed_body_is_read_in_one_slice(monkeypatch, name):
     got = load_matrix_market(data_path(name))
     assert all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
     assert parse.call_count == 1 and number.call_count == 1
+
+
+_REAL = b"%%MatrixMarket matrix coordinate real general\n2 2 1\n"
+_REAL_ARRAY = b"%%MatrixMarket matrix array real general\n1 1\n"
+# Tokens scipy's parser reads by a prefix, as 1.2, 1 or 0.
+_PREFIX_TOKENS = [b"1.2.3", b"1e", b"1-2", b"1..", b"1.5e+", b"1e-", b"1e5e5", b"1.5e3.2", b"1_0", b"0x10"]
+
+
+@pytest.mark.parametrize("name, content, by_scipy", [
+    ("well-formed.mtx", _REAL + b"1 2 1.5\n", True),
+    ("well-formed-array.mtx", _REAL_ARRAY + b"-2.5e-3\n", True),
+    ("crlf.mtx", (_REAL + b"1 2 1.5\n").replace(b"\n", b"\r\n"), True),
+    *[(f"coordinate-{tok.decode()}.mtx", _REAL + b"1 2 " + tok + b"\n", False) for tok in _PREFIX_TOKENS],
+    *[(f"array-{tok.decode()}.mtx", _REAL_ARRAY + tok + b"\n", False) for tok in _PREFIX_TOKENS],
+    ("fourth-number.mtx", _REAL + b"1 2 1.5 7\n", False),
+    ("pattern-with-values.mtx", b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2 1.5\n", False),
+    ("integer-with-a-fraction.mtx", b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 1.5\n", False),
+    ("cr-inside-a-line.mtx", _REAL + b"1 2\r1.5\n", False),
+    ("cr-line-ends.mtx", (_REAL + b"1 2 1.5\n").replace(b"\n", b"\r"), False),
+    ("vertical-tab.mtx", _REAL + b"1 2\x0b1.5\n", False),
+    ("vertical-tab-in-a-comment.mtx", _REAL.replace(b"\n", b"\n% note\x0b2 2 1\n", 1) + b"1 2 1.5\n", False),
+    ("gzipped.mtx.gz", gzip.compress(_REAL + b"1 2 1.5\n"), False),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_a_file_scipy_would_misread_reads_as_the_earlier_reader_read_it(tmp_path, name, content, by_scipy):
+    """Only a file whose bytes pass the check reaches scipy's parser.  It
+    would read each of the others otherwise than the earlier reader did,
+    or refuse it with its own message: it reads numbers by a prefix,
+    skips a fourth number, reads a value in a pattern file and truncates
+    one in an integer file, reads a lone CR inside a line as a space,
+    refuses CR line ends and vertical tabs, and decompresses a .gz file."""
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert (problems._scipy_entries(content) is not None) == by_scipy
+    assert read_outcome(load_matrix_market, path) == read_outcome(ref_load_matrix_market, path)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in os.listdir(DATA_DIR) if name.endswith(".mtx")))
+def test_every_fixture_reads_as_the_earlier_reader_read_it(name):
+    path = data_path(name)
+    assert read_outcome(load_matrix_market, path) == read_outcome(ref_load_matrix_market, path)
 
 
 def test_density():
