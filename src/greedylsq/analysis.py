@@ -174,15 +174,8 @@ class BoundReport:
         lines += [f"  k={k} factor={f:.12e}" for k, f in enumerate(self.per_step_factors, start=1)]
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def csv_header():
-        return ",".join(name for name, _ in _CSV_FIELDS)
-
-    def csv_row(self):
-        return ",".join(cell for _, cell in self._csv_fields())
-
-    def _csv_fields(self):
-        """(name, text) of each CSV field, in the order of csv_header."""
+    def csv_fields(self):
+        """(name, text) of each of the seven CSV fields, in column order."""
         return [(name, text(self)) for name, text in _CSV_FIELDS]
 
 

@@ -273,7 +273,7 @@ def cmd_verify_bounds(args, parser):
             fh.write(bounds.to_text())
         print(f"report: {args.out}", file=sys.stderr)
     if args.csv:
-        names, cells = zip(*bounds._csv_fields())
+        names, cells = zip(*bounds.csv_fields())
         with open(args.csv, "a", encoding="utf-8") as fh:
             # The header goes into an empty file, new or not; never into a pipe.
             header = [["label", *names]] if fh.seekable() and fh.tell() == 0 else []

@@ -191,34 +191,29 @@ def load_matrix_market(path):
     pattern entries get unit values, and duplicate coordinates are summed.
 
     The file is read once, as bytes, and never decompressed: a ``.gz``
-    file is read as it stands.  scipy's C++ reader (``scipy.io.mmread``)
-    parses a real general file, in either format, whose bytes pass the
-    check of ``_scipy_entries``: a canonical header, '%' comments, then
-    lines that are blank or hold digit-only indices and a value that
-    ``float`` reads, and no byte outside them.  Every other file, and
-    every file scipy refuses, is parsed by the package's own reader,
-    which names the line at fault.  Both give the same CSC arrays bit
-    for bit.
+    file is read as it stands.  The package's own reader parses the
+    header and the size line.  scipy's C++ reader (``scipy.io.mmread``)
+    then parses any body whose bytes pass the shape check of
+    ``_scipy_columns``, whatever the field and symmetry; every other body,
+    and every body scipy refuses, is read line by line, naming the line at
+    fault.  Both give the same CSC arrays bit for bit.
 
     Raises:
         ParseError: malformed content, with the offending line number.
         UnsupportedField: complex or hermitian files.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    entries = _scipy_entries(data)
-    if entries is None:
-        entries = _read_entries(_text_lines(data))
-    m, n, size_no, rows, cols, vals = entries
+    data = _read_bytes(path)
+    m, n, size_no, rows, cols, vals = _read_entries(data)
     try:
         return as_csc_matrix(sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsc())
     except MemoryError:  # CSC storage holds n + 1 column pointers, whatever the entries
         raise ParseError(f"a {m} x {n} matrix does not fit in memory", size_no) from None
 
 
-def _read_entries(lines):
-    """(m, n, size_no, rows, cols, vals) of the full matrix a file's lines
+def _read_entries(data):
+    """(m, n, size_no, rows, cols, vals) of the full matrix a file's bytes
     hold, with 0-based int64 indices; raises on any fault, naming its line."""
+    lines, body_start = _head_lines(data)
     if not lines:
         raise ParseError("empty file", 1)
 
@@ -243,17 +238,23 @@ def _read_entries(lines):
     size_no = next(_data_line_numbers(lines, "%"), None)
     if size_no is None:
         raise ParseError("missing size line", len(lines))
-    m, n, *nnz = _read_size(lines[size_no - 1], size_no, mm_format)
+    m, n, *nnz = sizes = _read_size(lines[size_no - 1], size_no, mm_format)
     if mm_symmetry != "general" and m != n:
         raise ParseError(f"{mm_symmetry} storage needs a square matrix", size_no)
 
+    def read_body(fields, noun, count, plural):
+        # A stored triangle of an array is read as a 'count 1' column.
+        size = " ".join(map(str, sizes)) if mm_format == "coordinate" or mm_symmetry == "general" else None
+        columns = None if body_start is None else _scipy_columns(data, body_start, fields, count, size)
+        return columns or _read_columns(_text_lines(data), size_no, "%", fields, noun, (count, plural))
+
     def entry_line(k):
         """The number of the k-th line past the size line that holds data."""
-        return next(islice(_data_line_numbers(lines, "%", size_no), k, None))
+        return next(islice(_data_line_numbers(_text_lines(data), "%", size_no), k, None))
 
     if mm_format == "coordinate":
         fields = _ENTRY_FIELDS[:2] if mm_field == "pattern" else _ENTRY_FIELDS
-        i, j, *v = _read_columns(lines, size_no, "%", fields, "entry", (nnz[0], "entries"))
+        i, j, *v = read_body(fields, "entry", nnz[0], "entries")
         outside = (i < 1) | (i > m) | (j < 1) | (j > n)
         if outside.any():
             k = outside.argmax()
@@ -263,7 +264,7 @@ def _read_entries(lines):
         # Values are stored column by column: all of them, the lower triangle
         # (symmetric) or the strict lower triangle (skew-symmetric).
         count = {"general": m * n, "symmetric": n * (n + 1) // 2, "skew-symmetric": n * (n - 1) // 2}
-        (vals,) = _read_columns(lines, size_no, "%", _ENTRY_FIELDS[2:], "value", (count[mm_symmetry], "values"))
+        (vals,) = read_body(_ENTRY_FIELDS[2:], "value", count[mm_symmetry], "values")
         cols, rows = np.indices((n, m)).reshape(2, -1)
         if mm_symmetry != "general":
             keep = rows >= cols + (mm_symmetry == "skew-symmetric")
@@ -272,14 +273,29 @@ def _read_entries(lines):
     return m, n, size_no, *_expand_symmetry(rows, cols, vals, mm_symmetry, entry_line)
 
 
-# The headers scipy's parser is given, with the numbers on their size line
-# and on each body line.
-_SCIPY_HEADERS = {
-    (b"%%MatrixMarket", b"matrix", b"coordinate", b"real", b"general"): (3, 3),
-    (b"%%MatrixMarket", b"matrix", b"array", b"real", b"general"): (2, 1),
-}
-# The header, comment and size lines hold only printable ASCII and tabs.
-_TEXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+# Bytes that end a line for str.splitlines (a CR only when no LF follows
+# it) or that str.strip reads as blank, where a split at LF and
+# bytes.strip do not.
+_ODD_HEAD_BYTE = re.compile(rb"[\x0b\x0c\x1c-\x1f]|\r(?!\n)")
+
+
+def _head_lines(data):
+    """The lines of a file's bytes up to its size line (its first data
+    line past the header), as _text_lines splits them, and the offset of
+    the body past them.  If the head holds a byte that str.splitlines or
+    str.strip reads otherwise than a split at LF and bytes.strip do, all
+    the file's lines and None."""
+    start = data.find(b"\n") + 1 or len(data)  # past the header
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        text, start = data[start:end].lstrip(), end
+        if text and not text.startswith(b"%"):
+            break
+    if _ODD_HEAD_BYTE.search(data, 0, start):
+        return _text_lines(data), None
+    return _text_lines(data[:start]), start
+
+
 # The shape of a body byte: '0' for a digit, itself for another byte of a
 # number or a line, 'x' for any other, so that float() refuses it.
 _SHAPE_OF_BYTE = bytes(ord("0") if 0x30 <= b <= 0x39 else b if b in b"+-.eE \t\r\n" else ord("x")
@@ -289,61 +305,43 @@ _SHAPE_OF_BYTE = bytes(ord("0") if 0x30 <= b <= 0x39 else b if b in b"+-.eE \t\r
 _SHAPE_CHUNK_BYTES = 2**18
 
 
-def _scipy_entries(data):
-    """What _read_entries returns for a file's bytes, parsed by scipy's
-    reader, or None to leave the file to the package's own reader.
+def _scipy_columns(data, start, fields, count, size=None):
+    """What _read_columns parses from the body data[start:], ``count``
+    lines of ``fields``, read by scipy's parser; or None to leave the body
+    to _read_columns.
 
     scipy reads '1.2.3' as 1.2 and '1e' as 1, '1_0' as 1 and '0x10' as 0,
-    skips a fourth number on an entry line and reads a lone CR as a
-    space.  So it is given only a file of these bytes:
-
-    - the header is '%%MatrixMarket matrix coordinate|array real general';
-    - the lines up to the size line are '%' comments;
-    - the size line holds three (coordinate) or two (array) digit-only
-      numbers, none of m and n 0;
-    - those lines hold only printable ASCII and tabs, and a CR comes only
-      right before an LF;
-    - each later line is blank or holds 'row col value' (coordinate) or
-      'value' (array): digit-only indices, and a value of digits, signs,
-      '.', 'e' and 'E' that ``float`` reads.
-
-    scipy itself refuses a wrong number of entries and an index outside
-    the matrix.  Any exception it raises leaves the file to the package's
-    own reader, which names the fault and its line.
+    skips a fourth number on an entry line, accepts values in a pattern
+    file and reads a lone CR as a space.  So it is given only a body
+    whose lines are blank or hold one word per field, digit-only for an
+    index and read by ``float`` for a value, with a CR only right before
+    an LF.  It reads the body under a canonical head: 'coordinate
+    real|pattern general' with ``size``, or 'array real general' with
+    ``size`` or else 'count 1'.  A file whose head is that one already is
+    handed over as it stands, with no copy.  No body of fewer bytes than
+    values reaches scipy, which allocates the values before it reads them
+    (and kills the process on an array of none).  Any exception it raises
+    leaves the body to _read_columns, which names the fault and its line.
     """
-    header_end = data.find(b"\n") + 1
-    counts = _SCIPY_HEADERS.get(tuple(data[:header_end].split()))
-    if counts is None:
+    if not 0 < count <= len(data) - start or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
-    size_start = header_end
-    while data.startswith(b"%", size_start):
-        size_start = data.find(b"\n", size_start) + 1 or len(data)
-    body_start = data.find(b"\n", size_start) + 1 or len(data)
-    words = data[size_start:body_start].split()
-    if len(words) != counts[0] or not all(map(bytes.isdigit, words)):
+    if not _body_has_shape(data, start, fields):
         return None
-    m, n, *_ = sizes = [int(word) for word in words]
-    if min(m, n) < 1 or max(sizes) > _SIZE_MAX or data[:body_start].translate(None, _TEXT_BYTES):
-        return None
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    if not _body_has_shape(data, body_start, counts[1]):
-        return None
+    kind = {3: "coordinate real", 2: "coordinate pattern", 1: "array real"}[len(fields)]
+    head = f"%%MatrixMarket matrix {kind} general\n{size or f'{count} 1'}\n".encode()
     from scipy.io import mmread  # imported here: 20 ms and 1 MB that only this needs
     try:
-        M = mmread(io.BytesIO(data))
-    except Exception:  # noqa: BLE001 - the package's own reader names the fault
+        M = mmread(io.BytesIO(data if data[:start] == head else head + data[start:]))
+    except Exception:  # noqa: BLE001 - _read_columns names the fault
         return None
-    size_no = data.count(b"\n", 0, size_start) + 1
-    if counts[1] == 1:
-        cols, rows = np.indices((n, m)).reshape(2, -1)  # stored column by column
-        return m, n, size_no, rows, cols, M.ravel(order="F")
-    return m, n, size_no, M.row.astype(np.int64), M.col.astype(np.int64), M.data
+    if len(fields) == 1:
+        return [M.ravel(order="F")]  # stored column by column
+    return [M.row.astype(np.int64) + 1, M.col.astype(np.int64) + 1, M.data][:len(fields)]
 
 
-def _body_has_shape(data, start, numbers):
-    """Whether each line of data[start:] is blank or holds ``numbers``
-    numbers: digit-only indices, then a value that ``float`` reads."""
+def _body_has_shape(data, start, fields):
+    """Whether each line of data[start:] is blank or holds one word per
+    field: digits for an index, a number ``float`` reads for a value."""
     shapes = set()
     while start < len(data):
         end = data.find(b"\n", start + _SHAPE_CHUNK_BYTES) + 1 or len(data)
@@ -352,23 +350,28 @@ def _body_has_shape(data, start, numbers):
     for words in map(bytes.split, shapes):
         if not words:
             continue
-        if len(words) != numbers or not all(map(bytes.isdigit, words[:-1])):
+        if len(words) != len(fields):
             return False
-        try:
-            float(words[-1])
-        except ValueError:
-            return False
+        for word, (_, dtype) in zip(words, fields):
+            if dtype is np.int64:
+                if not word.isdigit():
+                    return False
+                continue
+            try:
+                float(word)
+            except ValueError:
+                return False
     return True
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _text_lines(data):
     """The lines of a file's bytes; a byte outside ASCII reads as U+FFFD."""
     return data.decode("ascii", errors="replace").splitlines()
-
-
-def _read_lines(path):
-    with open(path, "rb") as fh:
-        return _text_lines(fh.read())
 
 
 def _data_line_numbers(lines, comments, start=0):
@@ -401,45 +404,18 @@ def _read_size(line, no, mm_format):
     return sizes
 
 
-def _check_count(nos, want, noun, size_no):
-    """Raise at the last data line (the size line if none) unless there are ``want``."""
-    if len(nos) != want:
-        raise ParseError(f"expected {want} {noun}, found {len(nos)}", nos[-1] if nos else size_no)
-
-
 # Columns of a coordinate entry line; an array or vector line holds the value alone.
 _ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
 
 
-def _loadtxt(lines, fields):
-    """numpy's parse of the lines, one array per field, or None if it refuses them."""
-    if any(map(str.strip, lines)):  # np.loadtxt warns on lines with no data
-        try:
-            return np.loadtxt(lines, dtype=fields, comments=None, ndmin=1, unpack=True)
-        except ValueError:
-            pass
-    return None
-
-
 def _read_columns(lines, start, comments, fields, noun, count=None):
-    """Parse the data lines past the first ``start`` into one array per field.
-
-    Accepts what ``int`` and ``float`` accept, and names the first line
-    they cannot read.  numpy parses all the lines past ``start`` in one
-    call: it skips a blank line, as the data-line rule does, and refuses a
-    comment line.  Only if it refuses, or finds other than ``want`` rows
-    for ``count = (want, plural)``, are the data lines numbered: the count
-    is checked, numpy parses the data lines alone, and if it refuses again
-    they are rescanned line by line (underscores between digits, say).
-    """
-    columns = _loadtxt(lines[start:], fields)
-    if columns is not None and (count is None or len(columns[0]) == count[0]):
-        return columns
+    """Parse the data lines past the first ``start`` into one array per
+    field, line by line.  Accepts what ``int`` and ``float`` accept, and
+    names the first line they cannot read, or for ``count = (want,
+    plural)`` the last data line unless there are ``want``."""
     nos = list(_data_line_numbers(lines, comments, start))
-    if count is not None:
-        _check_count(nos, *count, start)
-    if (columns := _loadtxt([lines[no - 1] for no in nos], fields)) is not None:
-        return columns
+    if count is not None and len(nos) != count[0]:
+        raise ParseError(f"expected {count[0]} {count[1]}, found {len(nos)}", nos[-1] if nos else start)
     columns = [np.empty(len(nos), dtype=dtype) for _, dtype in fields]
     parsers = [int if dtype is np.int64 else float for _, dtype in fields]
     for k, no in enumerate(nos):
@@ -504,8 +480,15 @@ def save_matrix_market(A, path):
 
 
 def load_vector(path):
-    """Read a one-value-per-line vector file ('#' and '%' start comments)."""
-    (values,) = _read_columns(_read_lines(path), 0, "#%", _ENTRY_FIELDS[2:], "vector entry")
+    """Read a one-value-per-line vector file ('#' and '%' start comments).
+    scipy's parser reads a body that passes the check of _scipy_columns."""
+    data = _read_bytes(path)
+    # Past the check, each line that holds data holds one word.
+    columns = _scipy_columns(data, 0, _ENTRY_FIELDS[2:], len(data.split()))
+    # scipy reads '-0' in an array body as 0.0, and a vector keeps its zeros.
+    if columns is None or not columns[0].all() and b"-" in data:
+        columns = _read_columns(_text_lines(data), 0, "#%", _ENTRY_FIELDS[2:], "vector entry")
+    (values,) = columns
     if not len(values):
         raise ParseError("vector file has no values", 1)
     return values
@@ -551,7 +534,7 @@ def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     label_nos = {}
-    lines = _read_lines(path)
+    lines = _text_lines(_read_bytes(path))
     for no in _data_line_numbers(lines, "#"):
         parts = lines[no - 1].split("#", 1)[0].split()
         if len(parts) not in (3, 4):

@@ -277,7 +277,7 @@ def test_verify_trace_reports_a_raised_step_energy():
     assert "violations: 1\n" in text
     assert f"violation: iteration=3 measured={measured:.12e} bound={bounds.per_step_factors[2]:.12e}\n" in text
     assert "cumulative_violations: 1\n" in text
-    assert bounds.csv_row().split(",")[-1] == "1"
+    assert bounds.csv_fields()[-1] == ("violations", "1")
 
 
 def test_factor_chain_orderings():
@@ -311,5 +311,7 @@ def test_bound_report_serialization():
     text = report.to_text()
     assert "lambda_min: 5.000000000000e-01" in text
     assert "violations: 0" in text
-    assert report.csv_row().startswith("5.000000000000e-01,2,")
-    assert len(report.csv_row().split(",")) == len(BoundReport.csv_header().split(","))
+    names, cells = zip(*report.csv_fields())
+    assert names == ("lambda_min", "max_set_size", "max_norm_sum", "first_step_factor", "cumulative_factor",
+                     "grcd_expected_factor", "violations")
+    assert cells[:2] == ("5.000000000000e-01", "2")

@@ -3,6 +3,8 @@ import dataclasses
 import gzip
 import os
 import pickle
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import DATA_DIR, data_path, read_outcome
-from oracles import ref_load_matrix_market, ref_save_matrix_market, ref_save_vector
+from oracles import ref_load_matrix_market, ref_load_vector, ref_save_matrix_market, ref_save_vector
 
 from greedylsq import problems
 from greedylsq.analysis import gram_matrix
@@ -576,21 +578,44 @@ def test_save_matrix_market_writes_a_nested_list_as_its_array(tmp_path):
     assert np.array_equal(load_matrix_market(tmp_path / "m.mtx").toarray(), [[1.0, 2.0], [3.0, 4.5]])
 
 
+def _scipy_reads(monkeypatch):
+    """Wrap problems._scipy_columns; the list returned grows by whether
+    each call's body was read by scipy's parser."""
+    real, reads = problems._scipy_columns, []
+
+    def scipy_columns(*args):
+        columns = real(*args)
+        reads.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(problems, "_scipy_columns", scipy_columns)
+    return reads
+
+
 @pytest.mark.parametrize("name", ["fixture3x2.mtx", "duplicates.mtx", "pattern.mtx", "symmetric.mtx",
                                   "skew.mtx", "array2x2.mtx", "array_symmetric.mtx", "rankdef2col.mtx"])
-def test_a_well_formed_body_is_read_in_one_slice(monkeypatch, name):
-    """In the package's own reader, numpy parses the body once, and only
-    the size line is looked for by number: a refused body alone is
-    numbered line by line."""
+def test_a_well_formed_body_is_read_in_one_slice(monkeypatch, tmp_path, name):
+    """scipy's parser reads the body of every well-formed fixture, whatever
+    its field and symmetry, and only the size line is looked for by
+    number.  A body the shape check refuses (here for a comment line) is
+    numbered and read line by line, to the same matrix."""
     want = load_matrix_market(data_path(name))
-    monkeypatch.setattr(problems, "_scipy_entries", lambda data: None)
-    parse = mock.Mock(wraps=problems._loadtxt)
+    reads = _scipy_reads(monkeypatch)
+    by_line = mock.Mock(wraps=problems._read_columns)
     number = mock.Mock(wraps=problems._data_line_numbers)
-    monkeypatch.setattr(problems, "_loadtxt", parse)
+    monkeypatch.setattr(problems, "_read_columns", by_line)
     monkeypatch.setattr(problems, "_data_line_numbers", number)
     got = load_matrix_market(data_path(name))
     assert all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
-    assert parse.call_count == 1 and number.call_count == 1
+    assert reads == [True] and by_line.call_count == 0 and number.call_count == 1
+
+    with open(data_path(name), "rb") as fh:
+        lines = fh.readlines()
+    path = tmp_path / name
+    path.write_bytes(b"".join(lines[:-1] + [b"% a comment inside the body\n", lines[-1]]))
+    got = load_matrix_market(path)
+    assert all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
+    assert reads == [True, False] and by_line.call_count == 1
 
 
 _REAL = b"%%MatrixMarket matrix coordinate real general\n2 2 1\n"
@@ -603,28 +628,92 @@ _PREFIX_TOKENS = [b"1.2.3", b"1e", b"1-2", b"1..", b"1.5e+", b"1e-", b"1e5e5", b
     ("well-formed.mtx", _REAL + b"1 2 1.5\n", True),
     ("well-formed-array.mtx", _REAL_ARRAY + b"-2.5e-3\n", True),
     ("crlf.mtx", (_REAL + b"1 2 1.5\n").replace(b"\n", b"\r\n"), True),
+    ("lowercase-header.mtx", _REAL.lower() + b"1 2 1.5\n", True),
+    ("integer.mtx", b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 7\n", True),
+    ("pattern.mtx", b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n", True),
+    ("symmetric.mtx", b"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.5\n2 1 -2\n", True),
+    ("skew-symmetric.mtx", b"%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.5\n", True),
+    ("array-symmetric.mtx", b"%%MatrixMarket matrix array real symmetric\n2 2\n1\n-2\n3.5\n", True),
+    ("plus-size.mtx", _REAL.replace(b"2 2 1", b"+2 2 1") + b"1 2 1.5\n", True),
+    ("zero-led-size.mtx", _REAL.replace(b"2 2 1", b"2 02 1") + b"1 2 1.5\n", True),
+    ("utf8-comment.mtx", _REAL.replace(b"\n", "\n% author: Jos\u00e9\n".encode(), 1) + b"1 2 1.5\n", True),
+    ("comment-in-the-body.mtx", _REAL + b"% note\n1 2 1.5\n", False),
     *[(f"coordinate-{tok.decode()}.mtx", _REAL + b"1 2 " + tok + b"\n", False) for tok in _PREFIX_TOKENS],
     *[(f"array-{tok.decode()}.mtx", _REAL_ARRAY + tok + b"\n", False) for tok in _PREFIX_TOKENS],
     ("fourth-number.mtx", _REAL + b"1 2 1.5 7\n", False),
     ("pattern-with-values.mtx", b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2 1.5\n", False),
-    ("integer-with-a-fraction.mtx", b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 1.5\n", False),
+    ("integer-with-a-fraction.mtx", b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 1.5\n", True),
     ("cr-inside-a-line.mtx", _REAL + b"1 2\r1.5\n", False),
     ("cr-line-ends.mtx", (_REAL + b"1 2 1.5\n").replace(b"\n", b"\r"), False),
     ("vertical-tab.mtx", _REAL + b"1 2\x0b1.5\n", False),
     ("vertical-tab-in-a-comment.mtx", _REAL.replace(b"\n", b"\n% note\x0b2 2 1\n", 1) + b"1 2 1.5\n", False),
     ("gzipped.mtx.gz", gzip.compress(_REAL + b"1 2 1.5\n"), False),
 ], ids=lambda value: value if isinstance(value, str) else None)
-def test_a_file_scipy_would_misread_reads_as_the_earlier_reader_read_it(tmp_path, name, content, by_scipy):
-    """Only a file whose bytes pass the check reaches scipy's parser.  It
+def test_a_file_scipy_would_misread_reads_as_the_earlier_reader_read_it(monkeypatch, tmp_path, name, content,
+                                                                        by_scipy):
+    """Only a body whose bytes pass the check reaches scipy's parser, under
+    a canonical head with a 'real' field, whatever the file's header.  It
     would read each of the others otherwise than the earlier reader did,
     or refuse it with its own message: it reads numbers by a prefix,
-    skips a fourth number, reads a value in a pattern file and truncates
-    one in an integer file, reads a lone CR inside a line as a space,
-    refuses CR line ends and vertical tabs, and decompresses a .gz file."""
+    skips a fourth number, reads a value in a pattern file, reads a lone
+    CR inside a line as a space, refuses CR line ends and vertical tabs,
+    and decompresses a .gz file."""
     path = tmp_path / name
     path.write_bytes(content)
-    assert (problems._scipy_entries(content) is not None) == by_scipy
+    reads = _scipy_reads(monkeypatch)
+    outcome = read_outcome(load_matrix_market, path)
+    assert any(reads) == by_scipy
+    assert outcome == read_outcome(ref_load_matrix_market, path)
+
+
+# scipy's parser kills the process with SIGFPE on an array body of no values.
+_NO_VALUES_CHILD = """
+import sys
+from greedylsq.exceptions import ParseError
+from greedylsq.problems import load_matrix_market, load_vector
+M = load_matrix_market(sys.argv[1])
+print(M.shape, M.nnz)
+try:
+    load_vector(sys.argv[2])
+except ParseError as exc:
+    print(exc)
+"""
+
+
+def test_a_body_of_no_values_is_not_read_by_scipy(tmp_path):
+    """A 1x1 skew-symmetric array stores no values, and a vector file of
+    blank lines holds none.  Both are read in a child process, so that a
+    body handed to scipy's parser fails this test instead of ending the
+    test run."""
+    matrix, vector = tmp_path / "skew1x1.mtx", tmp_path / "blank.txt"
+    matrix.write_bytes(b"%%MatrixMarket matrix array real skew-symmetric\n1 1\n")
+    vector.write_bytes(b"\n  \n\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _NO_VALUES_CHILD, str(matrix), str(vector)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "(1, 1) 0\nline 1: vector file has no values\n")
+
+
+@pytest.mark.parametrize("content", [
+    b"%%MatrixMarket matrix coordinate real general\n3 3 1000000000000\n1 1 1.5\n",
+    b"%%MatrixMarket matrix array real general\n100000 100000\n1.5\n",
+])
+def test_a_body_of_fewer_bytes_than_values_is_not_read_by_scipy(monkeypatch, tmp_path, content):
+    """scipy's parser allocates the declared values before it reads them,
+    here 10^12 entries or 10^10 values, so it is never called."""
+    import scipy.io
+    calls = []
+
+    def mmread(source):
+        calls.append(source)
+        raise ValueError("not read here")
+
+    monkeypatch.setattr(scipy.io, "mmread", mmread)
+    path = tmp_path / "short.mtx"
+    path.write_bytes(content)
     assert read_outcome(load_matrix_market, path) == read_outcome(ref_load_matrix_market, path)
+    assert not calls
 
 
 @pytest.mark.parametrize("name", sorted(name for name in os.listdir(DATA_DIR) if name.endswith(".mtx")))
@@ -762,6 +851,25 @@ def test_load_vector_comments_and_errors(tmp_path):
     bad.write_text("# no values\n\n% at all\n")
     with pytest.raises(ParseError, match="^line 1: vector file has no values$"):
         load_vector(bad)
+
+
+@pytest.mark.parametrize("text, by_line", [
+    ("1\n\n-2.5\r\n  3e-1 \n", False),
+    ("0\n2\n", False),
+    ("1\n-0\n", True),  # scipy reads '-0' in an array body as 0.0
+    ("1\n-1e-400\n", True),
+    ("# note\n1\n", True),
+    ("\n  \n", True),
+])
+def test_a_vector_body_reaches_scipy_unless_it_holds_a_comment_or_a_negative_zero(monkeypatch, tmp_path, text,
+                                                                                  by_line):
+    path = tmp_path / "v.txt"
+    path.write_bytes(text.encode("ascii"))
+    read = mock.Mock(wraps=problems._read_columns)
+    monkeypatch.setattr(problems, "_read_columns", read)
+    outcome = read_outcome(load_vector, path)
+    assert read.called == by_line
+    assert outcome == read_outcome(ref_load_vector, path)
 
 
 def test_load_manifest(tmp_path):

@@ -415,7 +415,7 @@ def matrix_market_texts(draw):
     field = draw(st.sampled_from(["real", "integer", "pattern", "complex"]))
     symmetry = draw(st.sampled_from(["general", "symmetric", "skew-symmetric", "hermitian"]))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    value = st.sampled_from(["1", "-2.5", "0", "3e-1", "7"])
+    value = st.sampled_from(["1", "-2.5", "0", "3e-1", "7", "+1.5", ".5", "5.", "1E5", "00001.5"])
     if fmt == "coordinate":
         count = draw(st.integers(0, 4))
         lines = [[str(m), str(n), str(count)]] + [
@@ -491,7 +491,7 @@ def test_a_matrix_file_reads_as_the_earlier_reader_read_it(mtx_path, text):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10 * settings.default.max_examples)
-@given(lines=st.lists(st.sampled_from(["1", "-2.5", "3e-1", "1_0", "nan", "1e400", "x", "1 2", "# note"]
+@given(lines=st.lists(st.sampled_from(["1", "-2.5", "3e-1", "-0", "1_0", "nan", "1e400", "x", "1 2", "# note"]
                                       + _FILLER_LINES), max_size=6))
 def test_a_vector_file_reads_as_the_earlier_reader_read_it(mtx_path, lines):
     mtx_path.write_text("".join(line + "\n" for line in lines))
