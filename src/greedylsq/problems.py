@@ -20,14 +20,11 @@ from scipy.linalg import cho_factor, cho_solve
 from .analysis import gram_extreme_eigenvalues, gram_matrix
 from .exceptions import NullSpaceEmpty, ParseError, RankDeficient, UnsupportedField
 from .linalg import column_norms_sq, matvec, transpose_matvec
-from .validation import as_csc_matrix, as_matrix, as_vector, is_sparse, refuse_complex
+from .validation import as_csc_matrix, as_matrix, as_vector, fill_column_major, is_sparse, refuse_complex
 
 # Added to a base seed to draw right-hand sides from a stream independent
 # of the matrix stream (seed sequences hash, so any fixed offset works).
 RHS_SEED_OFFSET = 0x9E3779B9
-
-# gen_gaussian draws its rows in blocks of about this many entries (512 KB).
-GAUSSIAN_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -93,15 +90,12 @@ def matrix_density(A):
 def gen_gaussian(m, n, seed):
     """Dense column-major m x n matrix of i.i.d. standard normal entries,
     bit for bit np.random.default_rng(seed).standard_normal((m, n)), drawn
-    in row blocks so that no row-major copy of the whole matrix is made."""
+    one row block of fill_column_major at a time, so that no row-major
+    copy of the whole matrix is made."""
     if m < 1 or n < 1 or m < n:
         raise ValueError(f"need m >= n >= 1, got {m} x {n}")
     rng = np.random.default_rng(seed)
-    A = np.empty((m, n), order="F")
-    rows = max(1, GAUSSIAN_BLOCK_ENTRIES // n)
-    for i in range(0, m, rows):
-        A[i:i + rows] = rng.standard_normal((min(rows, m - i), n))
-    return A
+    return fill_column_major(m, n, lambda start, stop: rng.standard_normal((stop - start, n)))
 
 
 def make_consistent(A, seed):
@@ -212,7 +206,8 @@ def load_matrix_market(path):
 
 def _read_entries(data):
     """(m, n, size_no, rows, cols, vals) of the full matrix a file's bytes
-    hold, with 0-based int64 indices; raises on any fault, naming its line."""
+    hold, with 0-based int64 indices, as both body parsers give them;
+    raises on any fault, naming its line."""
     lines, body_start = _head_lines(data)
     if not lines:
         raise ParseError("empty file", 1)
@@ -255,11 +250,13 @@ def _read_entries(data):
     if mm_format == "coordinate":
         fields = _ENTRY_FIELDS[:2] if mm_field == "pattern" else _ENTRY_FIELDS
         i, j, *v = read_body(fields, "entry", nnz[0], "entries")
-        outside = (i < 1) | (i > m) | (j < 1) | (j > n)
+        outside = (i < 0) | (i >= m) | (j < 0) | (j >= n)
         if outside.any():
             k = outside.argmax()
-            raise ParseError(f"index ({i[k]}, {j[k]}) outside {m} x {n}", entry_line(k))
-        rows, cols, vals = i - 1, j - 1, v[0] if v else np.ones(len(i))
+            # The file's 1-based pair; an array sum wraps back as the shift to 0-based wrapped.
+            file_i, file_j = np.array([i[k], j[k]]) + 1
+            raise ParseError(f"index ({file_i}, {file_j}) outside {m} x {n}", entry_line(k))
+        rows, cols, vals = i, j, v[0] if v else np.ones(len(i))
     else:
         # Values are stored column by column: all of them, the lower triangle
         # (symmetric) or the strict lower triangle (skew-symmetric).
@@ -305,27 +302,31 @@ _SHAPE_OF_BYTE = bytes(ord("0") if 0x30 <= b <= 0x39 else b if b in b"+-.eE \t\r
 _SHAPE_CHUNK_BYTES = 2**18
 
 
-def _scipy_columns(data, start, fields, count, size=None):
+def _scipy_columns(data, start, fields, count=None, size=None):
     """What _read_columns parses from the body data[start:], ``count``
-    lines of ``fields``, read by scipy's parser; or None to leave the body
-    to _read_columns.
+    lines of ``fields`` (0-based indices), read by scipy's parser; or None
+    to leave the body to _read_columns.  A ``count`` of None, for a vector
+    file, is the body's words, counted only once the body passes the check.
 
     scipy reads '1.2.3' as 1.2 and '1e' as 1, '1_0' as 1 and '0x10' as 0,
     skips a fourth number on an entry line, accepts values in a pattern
     file and reads a lone CR as a space.  So it is given only a body
     whose lines are blank or hold one word per field, digit-only for an
-    index and read by ``float`` for a value, with a CR only right before
-    an LF.  It reads the body under a canonical head: 'coordinate
-    real|pattern general' with ``size``, or 'array real general' with
-    ``size`` or else 'count 1'.  A file whose head is that one already is
-    handed over as it stands, with no copy.  No body of fewer bytes than
-    values reaches scipy, which allocates the values before it reads them
-    (and kills the process on an array of none).  Any exception it raises
-    leaves the body to _read_columns, which names the fault and its line.
+    index and read by ``float`` for a value not led by '+' (which scipy
+    refuses), with a CR only right before an LF.  It reads the body under
+    a canonical head: 'coordinate real|pattern general' with ``size``, or
+    'array real general' with ``size`` or else 'count 1'.  A file whose
+    head is that one already is handed over as it stands, with no copy.
+    No body of fewer bytes than values reaches scipy, which allocates the
+    values before it reads them (and kills the process on an array of
+    none).  Any exception it raises leaves the body to _read_columns,
+    which names the fault and its line.
     """
-    if not 0 < count <= len(data) - start or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n") or not _body_has_shape(data, start, fields):
         return None
-    if not _body_has_shape(data, start, fields):
+    if count is None:
+        count = len(data.split())  # past the check, each line that holds data holds one word
+    if not 0 < count <= len(data) - start:
         return None
     kind = {3: "coordinate real", 2: "coordinate pattern", 1: "array real"}[len(fields)]
     head = f"%%MatrixMarket matrix {kind} general\n{size or f'{count} 1'}\n".encode()
@@ -336,12 +337,13 @@ def _scipy_columns(data, start, fields, count, size=None):
         return None
     if len(fields) == 1:
         return [M.ravel(order="F")]  # stored column by column
-    return [M.row.astype(np.int64) + 1, M.col.astype(np.int64) + 1, M.data][:len(fields)]
+    return [M.row.astype(np.int64), M.col.astype(np.int64), M.data][:len(fields)]
 
 
 def _body_has_shape(data, start, fields):
     """Whether each line of data[start:] is blank or holds one word per
-    field: digits for an index, a number ``float`` reads for a value."""
+    field: digits for an index, a number ``float`` reads for a value, not
+    led by '+'."""
     shapes = set()
     while start < len(data):
         end = data.find(b"\n", start + _SHAPE_CHUNK_BYTES) + 1 or len(data)
@@ -357,6 +359,8 @@ def _body_has_shape(data, start, fields):
                 if not word.isdigit():
                     return False
                 continue
+            if word.startswith(b"+"):
+                return False
             try:
                 float(word)
             except ValueError:
@@ -410,9 +414,10 @@ _ENTRY_FIELDS = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
 
 def _read_columns(lines, start, comments, fields, noun, count=None):
     """Parse the data lines past the first ``start`` into one array per
-    field, line by line.  Accepts what ``int`` and ``float`` accept, and
-    names the first line they cannot read, or for ``count = (want,
-    plural)`` the last data line unless there are ``want``."""
+    field, line by line, an index field's 1-based values stored 0-based.
+    Accepts what ``int`` and ``float`` accept, and names the first line
+    they cannot read, or for ``count = (want, plural)`` the last data line
+    unless there are ``want``."""
     nos = list(_data_line_numbers(lines, comments, start))
     if count is not None and len(nos) != count[0]:
         raise ParseError(f"expected {count[0]} {count[1]}, found {len(nos)}", nos[-1] if nos else start)
@@ -429,6 +434,9 @@ def _read_columns(lines, start, comments, fields, noun, count=None):
                 column[k] = parse(part)
         except (ValueError, OverflowError):  # an int beyond int64 does not store
             raise ParseError(f"bad {noun} {text!r}", no) from None
+    for column, (_, dtype) in zip(columns, fields):
+        if dtype is np.int64:
+            column -= 1  # int64's least value wraps to its greatest: still outside
     return columns
 
 
@@ -483,8 +491,7 @@ def load_vector(path):
     """Read a one-value-per-line vector file ('#' and '%' start comments).
     scipy's parser reads a body that passes the check of _scipy_columns."""
     data = _read_bytes(path)
-    # Past the check, each line that holds data holds one word.
-    columns = _scipy_columns(data, 0, _ENTRY_FIELDS[2:], len(data.split()))
+    columns = _scipy_columns(data, 0, _ENTRY_FIELDS[2:])
     # scipy reads '-0' in an array body as 0.0, and a vector keeps its zeros.
     if columns is None or not columns[0].all() and b"-" in data:
         columns = _read_columns(_text_lines(data), 0, "#%", _ENTRY_FIELDS[2:], "vector entry")

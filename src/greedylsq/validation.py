@@ -15,14 +15,45 @@ def is_sparse(A):
     return sparse.issparse(A)
 
 
+# Column-major storage is filled this many entries (512 KB) at a time.
+ROW_BLOCK_ENTRIES = 2**16
+
+
+def fill_column_major(m, n, row_block):
+    """A column-major float64 m x n array whose rows start:stop hold
+    ``row_block(start, stop)``, taken in order over blocks of about
+    ROW_BLOCK_ENTRIES entries (at least one row each).
+
+    A block is small enough to stay in cache while it is spread over the
+    n columns, where a copy of the whole matrix at once strides through
+    memory once per column.
+    """
+    M = np.empty((m, n), order="F")
+    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        M[start:stop] = row_block(start, stop)
+    return M
+
+
 def as_dense_matrix(A):
-    """Coerce to a 2-D float64 array in column-major order."""
-    M = np.asfortranarray(np.asarray(A, dtype=np.float64))
+    """Coerce to a 2-D float64 array in column-major order, the bytes of
+    ``np.asfortranarray(np.asarray(A, dtype=np.float64))``.
+
+    An F-contiguous float64 array is returned as it is.  Any other array
+    of bools, integers or reals is cast and transposed in one blocked
+    copy (fill_column_major), so it is copied once; other input (a nested
+    list, an object or string array) is first converted as a whole.
+    """
+    numeric = isinstance(A, np.ndarray) and A.dtype.kind in "biuf"
+    M = np.asarray(A) if numeric else np.asarray(A, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
     if M.shape[0] < 1 or M.shape[1] < 1:
         raise ValueError(f"matrix must have at least one row and column, got {M.shape}")
-    return M
+    if M.dtype == np.float64 and M.flags.f_contiguous:
+        return M
+    return fill_column_major(*M.shape, lambda start, stop: M[start:stop])
 
 
 def as_csc_matrix(A):

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from greedylsq.problems import (
     save_vector,
 )
 from greedylsq.solvers import Method, SolverConfig, StopReason, solve
-from greedylsq.validation import as_matrix
+from greedylsq.validation import ROW_BLOCK_ENTRIES, as_dense_matrix, as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_gen_gaussian_deterministic():
     assert not np.array_equal(A, gen_gaussian(40, 7, seed=124))
 
 
-# Row blocks of GAUSSIAN_BLOCK_ENTRIES // n rows: 262 at n = 250, so 1000
+# Row blocks of ROW_BLOCK_ENTRIES // n rows: 262 at n = 250, so 1000
 # and 300 rows end in a partial block, and one column takes 65,536 rows.
 @pytest.mark.parametrize("m, n", [(1000, 250), (70_000, 1), (300, 300), (5, 5), (1, 1)])
 def test_gen_gaussian_equals_the_whole_row_major_draw(m, n):
@@ -744,6 +745,10 @@ def test_density_is_derived_from_the_stored_matrix():
     (np.zeros((3, 0)), r"at least one row and column, got \(3, 0\)"),
     (sparse.csc_array((0, 3)), r"at least one row and column, got \(0, 3\)"),
     (sparse.csc_array((3, 0)), r"at least one row and column, got \(3, 0\)"),
+    (np.ones(3, dtype=np.int64), "expected a 2-D matrix, got ndim=1"),
+    (np.ones((2, 2, 2), dtype=np.float32), "expected a 2-D matrix, got ndim=3"),
+    ([[[1.0]]], "expected a 2-D matrix, got ndim=3"),
+    (np.zeros((0, 3), dtype=bool), r"at least one row and column, got \(0, 3\)"),
 ])
 def test_a_matrix_needs_two_dimensions_with_entries(matrix, message):
     with pytest.raises(ValueError, match=message):
@@ -822,6 +827,55 @@ def test_coercion_never_writes_to_its_input(index):
     assert _arrays_of(M) == before
 
 
+# Row blocks of ROW_BLOCK_ENTRIES // n rows: at n = 250, 524 rows are two
+# whole blocks and 525 one row past them; past 2**16 columns a block is
+# one row.
+_DENSE_SHAPES = [(1, 1), (2 * (ROW_BLOCK_ENTRIES // 250), 250), (2 * (ROW_BLOCK_ENTRIES // 250) + 1, 250),
+                 (3, ROW_BLOCK_ENTRIES + 3)]
+# Each takes an m x n view or copy of a 2m x 2n array.
+_DENSE_LAYOUTS = {
+    "C": lambda base, m, n: np.ascontiguousarray(base[:m, :n]),
+    "F": lambda base, m, n: np.asfortranarray(base[:m, :n]),
+    "strided": lambda base, m, n: base[::2, ::2],
+    "negative-strides": lambda base, m, n: base[:m, :n][::-1, ::-1],
+    "F-strided-negative": lambda base, m, n: np.asfortranarray(base)[::-2, 1::2],
+}
+
+
+@pytest.mark.parametrize("shape", _DENSE_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("layout", list(_DENSE_LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.bool_, np.float64, ">f8"],
+                         ids=lambda dtype: np.dtype(dtype).str)
+def test_as_dense_matrix_stores_the_bytes_of_one_fortran_copy(shape, layout, dtype):
+    m, n = shape
+    values = np.random.default_rng(m + n).integers(-1000, 1000, size=(2 * m, 2 * n))
+    A = _DENSE_LAYOUTS[layout](values.astype(dtype) if dtype != np.bool_ else values > 0, m, n)
+    assert A.shape == shape
+    want = np.asfortranarray(np.asarray(A, dtype=np.float64))
+    M = as_dense_matrix(A)
+    assert M.flags.f_contiguous and M.dtype == np.float64
+    assert M.tobytes(order="F") == want.tobytes(order="F")
+
+
+def test_as_dense_matrix_returns_fortran_float64_as_it_is():
+    A = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    column = np.arange(4.0).reshape(4, 1)  # C- and F-contiguous at once
+    assert as_dense_matrix(A) is A and as_dense_matrix(column) is column
+
+
+def test_as_dense_matrix_copies_an_integer_matrix_once():
+    """The cast happens inside the blocked copy: one result-sized
+    allocation, where a cast and then a transposing copy make two."""
+    A = np.arange(20_000 * 250, dtype=np.int64).reshape(20_000, 250)
+    tracemalloc.start()
+    try:
+        M = as_dense_matrix(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.nbytes <= peak < M.nbytes + 2**20
+
+
 # ---------------------------------------------------------------------------
 # vectors and manifests
 # ---------------------------------------------------------------------------
@@ -869,6 +923,69 @@ def test_a_vector_body_reaches_scipy_unless_it_holds_a_comment_or_a_negative_zer
     monkeypatch.setattr(problems, "_read_columns", read)
     outcome = read_outcome(load_vector, path)
     assert read.called == by_line
+    assert outcome == read_outcome(ref_load_vector, path)
+
+
+@pytest.mark.parametrize("load, ref_load, content, by_scipy", [
+    (load_matrix_market, ref_load_matrix_market, _REAL + b"1 2 +1.5\n", False),
+    (load_matrix_market, ref_load_matrix_market, _REAL_ARRAY + b"+0\n", False),
+    (load_vector, ref_load_vector, b"1\n+1.5\n", False),
+    (load_matrix_market, ref_load_matrix_market, _REAL + b"1 2 1e+5\n", True),
+    (load_vector, ref_load_vector, b"1\n-.5\n", True),
+], ids=["coordinate", "array", "vector", "exponent-sign", "vector-minus"])
+def test_a_value_led_by_plus_is_not_handed_to_scipy(monkeypatch, tmp_path, load, ref_load, content, by_scipy):
+    """scipy's parser refuses '+1.5' and '+0' ("Invalid floating-point
+    value"), so such a body is read line by line alone; a '+' inside a
+    value, and a '-' before one, do reach scipy."""
+    import scipy.io
+    real, calls = scipy.io.mmread, []
+
+    def mmread(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(scipy.io, "mmread", mmread)
+    path = tmp_path / "plus.txt"
+    path.write_bytes(content)
+    assert read_outcome(load, path) == read_outcome(ref_load, path)
+    assert bool(calls) == by_scipy
+
+
+@pytest.mark.parametrize("body, line, pair", [
+    (b"3 1 1.5\n", 3, "(3, 1)"),
+    (b"1 0 1.5\n", 3, "(1, 0)"),
+    (b"% note\n1 1 1.5\n2 3 1.5\n", 5, "(2, 3)"),
+    (b"-9223372036854775808 1 1.5\n", 3, "(-9223372036854775808, 1)"),
+    (b"9223372036854775807 1 1.5\n", 3, "(9223372036854775807, 1)"),
+])
+def test_an_index_outside_the_shape_is_named_as_the_file_writes_it(tmp_path, body, line, pair):
+    """Both body parsers keep indices 0-based; the message names the
+    file's 1-based pair and its line."""
+    path = tmp_path / "outside.mtx"
+    path.write_bytes(_REAL.replace(b"2 2 1", b"2 2 %d" % body.count(b" 1.5")) + body)
+    outcome = read_outcome(load_matrix_market, path)
+    assert outcome == (ParseError, line, f"line {line}: index {pair} outside 2 x 2")
+    assert outcome == read_outcome(ref_load_matrix_market, path)
+
+
+class _CountedBytes(bytes):
+    """File bytes that record each call of their ``split``."""
+    splits = []
+
+    def split(self, *args):
+        self.splits.append(args)
+        return super().split(*args)
+
+
+@pytest.mark.parametrize("text, splits", [("1\n-2.5\n", 1), ("# note\n1\n", 0), ("1\nx\n", 0)])
+def test_a_vector_body_is_counted_only_once_it_passes_the_shape_check(monkeypatch, tmp_path, text, splits):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    monkeypatch.setattr(_CountedBytes, "splits", [])
+    read_bytes = problems._read_bytes
+    monkeypatch.setattr(problems, "_read_bytes", lambda path: _CountedBytes(read_bytes(path)))
+    outcome = read_outcome(load_vector, path)
+    assert len(_CountedBytes.splits) == splits
     assert outcome == read_outcome(ref_load_vector, path)
 
 

@@ -1,8 +1,9 @@
 """Property tests of the solve loop on small generated problems, of its
 running res against a res computed at every step, of rgs's block draws on
 generated norm tables, of grcd's selection against its earlier code on
-generated gradients, and of the MatrixMarket and vector readers on small
-generated files, alone and against their earlier code.
+generated gradients, of the MatrixMarket and vector readers on small
+generated files, alone and against their earlier code, and of the dense
+coercion on generated dtypes, strides and shapes.
 
 Each solve example is a seeded Gaussian matrix, optionally thinned to a
 sparse pattern (every column keeps at least one entry), solved in dense
@@ -43,6 +44,7 @@ from greedylsq.solvers import (
     solve,
     step,
 )
+from greedylsq.validation import ROW_BLOCK_ENTRIES, as_dense_matrix
 
 # Fewer steps than a drift checkpoint, so replaying the chosen columns
 # from zero follows the solver's iterates, to rounding.
@@ -491,8 +493,47 @@ def test_a_matrix_file_reads_as_the_earlier_reader_read_it(mtx_path, text):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10 * settings.default.max_examples)
-@given(lines=st.lists(st.sampled_from(["1", "-2.5", "3e-1", "-0", "1_0", "nan", "1e400", "x", "1 2", "# note"]
-                                      + _FILLER_LINES), max_size=6))
+@given(lines=st.lists(st.sampled_from(["1", "-2.5", "3e-1", "-0", "+1.5", "1_0", "nan", "1e400", "x", "1 2",
+                                       "# note"] + _FILLER_LINES), max_size=6))
 def test_a_vector_file_reads_as_the_earlier_reader_read_it(mtx_path, lines):
     mtx_path.write_text("".join(line + "\n" for line in lines))
     assert read_outcome(load_vector, mtx_path) == read_outcome(ref_load_vector, mtx_path)
+
+
+_DENSE_DTYPES = [np.bool_, np.int8, np.int32, np.int64, np.uint64, np.float16, np.float32, np.float64,
+                 np.longdouble, ">f8", ">i4"]
+
+
+@st.composite
+def dense_inputs(draw):
+    """A 2-D array of a drawn dtype, as a view of a C- or F-ordered base
+    with a step of -3 to 3 (not 0) along each axis; its shape is often at
+    an edge of fill_column_major's row blocks, which hold one row past
+    2**16 columns."""
+    n = draw(st.integers(1, 300) | st.integers(ROW_BLOCK_ENTRIES - 1, ROW_BLOCK_ENTRIES + 1))
+    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    m = max(1, draw(st.integers(0, 2)) * rows + draw(st.integers(-1, 1)))
+    steps = [draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])) for _ in range(2)]
+    dtype = np.dtype(draw(st.sampled_from(_DENSE_DTYPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (m * abs(steps[0]), n * abs(steps[1]))
+    if dtype.kind == "f":
+        values = rng.standard_normal(shape)
+    elif dtype.kind == "u":
+        values = rng.integers(0, np.iinfo(dtype).max, size=shape, dtype=dtype, endpoint=True)
+    else:
+        values = rng.integers(-100, 100, size=shape)
+    base = np.asarray(values.astype(dtype), order=draw(st.sampled_from("CF")))
+    return base[::steps[0], ::steps[1]]
+
+
+@PROPERTY_SETTINGS
+@given(dense_inputs())
+def test_dense_coercion_stores_the_bytes_of_one_fortran_copy(A):
+    """The blocked copy stores what a cast and then a transposing copy
+    store, and copies nothing that is F-contiguous float64 already."""
+    want = np.asfortranarray(np.asarray(A, dtype=np.float64))
+    M = as_dense_matrix(A)
+    assert M.flags.f_contiguous and M.dtype == np.float64
+    assert M.tobytes(order="F") == want.tobytes(order="F")
+    assert (M is A) == (A.dtype == np.float64 and A.flags.f_contiguous)
